@@ -155,6 +155,7 @@ Result<MinimalSetResult> BottomUpSearch(const Table& initial_microdata,
   }
   std::sort(result.minimal_nodes.begin(), result.minimal_nodes.end());
   result.stats = evaluator.stats();
+  result.encoded = evaluator.encoded_table();
   return result;
 }
 

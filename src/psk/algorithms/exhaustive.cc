@@ -49,6 +49,7 @@ Result<MinimalSetResult> ExhaustiveSearch(const Table& initial_microdata,
   }
   sweeper.primary().FlushCheckpoint();
   result.stats = sweeper.MergedStats();
+  result.encoded = sweeper.primary().encoded_table();
   result.minimal_nodes = MinimalNodes(result.satisfying_nodes);
   return result;
 }

@@ -392,6 +392,7 @@ Result<MinimalSetResult> IncognitoSearch(
   std::sort(result.minimal_nodes.begin(), result.minimal_nodes.end());
   std::sort(result.satisfying_nodes.begin(), result.satisfying_nodes.end());
   result.stats = sweeper.MergedStats();
+  result.encoded = evaluator.encoded_table();
   return result;
 }
 

@@ -1,6 +1,7 @@
 #include "psk/algorithms/ola.h"
 
 #include <algorithm>
+#include <optional>
 #include <unordered_map>
 
 #include "psk/metrics/metrics.h"
@@ -258,42 +259,65 @@ Result<OlaResult> OlaSearch(const Table& initial_microdata,
     return result;
   }
 
-  // Metric-optimal node among the minimal ones.
-  TraceSpan metric_span(trace, "metrics");
-  metric_span.Counter("minimal_nodes", result.minimal_nodes.size());
-  bool first = true;
-  for (const LatticeNode& node : result.minimal_nodes) {
-    Result<MaskedMicrodata> materialized = evaluator.Materialize(node);
-    if (!materialized.ok()) {
-      return sweeper.PropagateHardError(materialized.status());
-    }
-    MaskedMicrodata mm = std::move(materialized).value();
-    double metric;
-    switch (options.metric) {
-      case OlaMetric::kDiscernibility: {
-        PSK_ASSIGN_OR_RETURN(
-            uint64_t dm,
-            DiscernibilityMetric(mm.table, mm.table.schema().KeyIndices(),
-                                 mm.suppressed,
-                                 initial_microdata.num_rows()));
-        metric = static_cast<double>(dm);
-        break;
+  // Metric-optimal node among the minimal ones. Discernibility needs only
+  // each node's class sizes, so on the encoded core no candidate is
+  // decoded; only the winner is, once. The legacy path scores decoded
+  // releases and keeps the winner's.
+  std::optional<MaskedMicrodata> winner;
+  {
+    TraceSpan metric_span(trace, "metrics");
+    metric_span.Counter("minimal_nodes", result.minimal_nodes.size());
+    const EncodedTable* encoded = evaluator.encoded_table().get();
+    EncodedWorkspace ws;
+    bool first = true;
+    for (const LatticeNode& node : result.minimal_nodes) {
+      std::optional<MaskedMicrodata> candidate;
+      double metric;
+      switch (options.metric) {
+        case OlaMetric::kDiscernibility: {
+          uint64_t dm;
+          if (encoded != nullptr) {
+            PSK_ASSIGN_OR_RETURN(dm, EncodedDiscernibility(
+                                         *encoded, node, options.search.k,
+                                         &ws));
+          } else {
+            Result<MaskedMicrodata> mm = evaluator.Materialize(node);
+            if (!mm.ok()) return sweeper.PropagateHardError(mm.status());
+            candidate = std::move(*mm);
+            PSK_ASSIGN_OR_RETURN(
+                dm, DiscernibilityMetric(candidate->table,
+                                         candidate->table.schema().KeyIndices(),
+                                         candidate->suppressed,
+                                         initial_microdata.num_rows()));
+          }
+          metric = static_cast<double>(dm);
+          break;
+        }
+        case OlaMetric::kPrecision:
+          // Negate so smaller-is-better uniformly.
+          metric = -Precision(node, hierarchies);
+          break;
+        default:
+          return Status::Internal("unhandled OLA metric");
       }
-      case OlaMetric::kPrecision:
-        // Negate so smaller-is-better uniformly.
-        metric = -Precision(node, hierarchies);
-        break;
-      default:
-        return Status::Internal("unhandled OLA metric");
-    }
-    if (first || metric < result.optimal_metric) {
-      result.optimal = node;
-      result.optimal_metric = metric;
-      result.masked = std::move(mm.table);
-      result.suppressed = mm.suppressed;
-      first = false;
+      if (first || metric < result.optimal_metric) {
+        result.optimal = node;
+        result.optimal_metric = metric;
+        winner = std::move(candidate);
+        first = false;
+      }
     }
   }
+  if (!winner.has_value()) {
+    TraceSpan span(trace, "materialize");
+    span.Attr("path",
+              evaluator.encoded_table() != nullptr ? "encoded" : "legacy");
+    Result<MaskedMicrodata> mm = evaluator.Materialize(result.optimal);
+    if (!mm.ok()) return sweeper.PropagateHardError(mm.status());
+    winner = std::move(*mm);
+  }
+  result.masked = std::move(winner->table);
+  result.suppressed = winner->suppressed;
   result.found = true;
   result.stats = sweeper.MergedStats();
   return result;

@@ -126,6 +126,8 @@ Result<SearchResult> SamaratiSearch(const Table& initial_microdata,
 
   if (best.has_value()) {
     TraceSpan phase(options.trace, "materialize");
+    phase.Attr("path",
+               evaluator.encoded_table() != nullptr ? "encoded" : "legacy");
     Result<MaskedMicrodata> mm = evaluator.Materialize(*best);
     if (!mm.ok()) return sweeper.PropagateHardError(mm.status());
     result.found = true;

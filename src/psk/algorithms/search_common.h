@@ -636,6 +636,10 @@ struct MinimalSetResult {
   /// Every satisfying node encountered (exhaustive search only).
   std::vector<LatticeNode> satisfying_nodes;
   SearchStats stats;
+  /// The encoded core the node verdicts ran on, for decoding the picked
+  /// node without encoding the table again; null when the search ran on
+  /// the legacy Value path (use_encoded_core off, or the build failed).
+  std::shared_ptr<const EncodedTable> encoded;
 };
 
 }  // namespace psk

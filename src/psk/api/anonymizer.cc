@@ -1,6 +1,8 @@
 #include "psk/api/anonymizer.h"
 
 #include <algorithm>
+#include <memory>
+#include <optional>
 #include <unordered_map>
 
 #include "psk/algorithms/bottom_up.h"
@@ -10,34 +12,45 @@
 #include "psk/algorithms/mondrian.h"
 #include "psk/algorithms/ola.h"
 #include "psk/algorithms/samarati.h"
-#include "psk/anonymity/kanonymity.h"
-#include "psk/anonymity/psensitive.h"
 #include "psk/api/spec_parser.h"
 #include "psk/common/failpoint.h"
 #include "psk/metrics/metrics.h"
 #include "psk/metrics/risk.h"
+#include "psk/table/release_groups.h"
 
 namespace psk {
 namespace {
 
-// Scores the masked microdata; shared by every algorithm branch.
-Status FillScorecard(const Table& im, AnonymizationReport* report) {
-  const Table& masked = report->masked;
-  std::vector<size_t> keys = masked.schema().KeyIndices();
-  std::vector<size_t> confs = masked.schema().ConfidentialIndices();
-  PSK_ASSIGN_OR_RETURN(report->achieved_k, AnonymityK(masked, keys));
-  if (!confs.empty()) {
-    PSK_ASSIGN_OR_RETURN(report->achieved_p,
-                         SensitivityP(masked, keys, confs));
-    PSK_ASSIGN_OR_RETURN(report->attribute_disclosures,
-                         CountAttributeDisclosures(masked, keys, confs));
+// Scores the release from its group index (the guard's, or one built for
+// the scorecard when the guard is off); computes no partition of its own.
+Status FillScorecard(const ReleaseGroups& groups, size_t total_rows, size_t k,
+                     AnonymizationReport* report) {
+  report->achieved_k = groups.MinClassSize();
+  if (groups.num_confidential() > 0) {
+    report->achieved_p = groups.MinDistinct();
+    report->attribute_disclosures = groups.AttributeDisclosures();
   }
-  PSK_ASSIGN_OR_RETURN(report->reidentification_risk,
-                       MarketerRisk(masked, keys));
-  PSK_ASSIGN_OR_RETURN(
-      report->discernibility,
-      DiscernibilityMetric(masked, keys, report->suppressed, im.num_rows()));
+  report->reidentification_risk = MarketerRisk(groups);
+  report->discernibility =
+      DiscernibilityMetric(groups, report->suppressed, total_rows);
+  PSK_ASSIGN_OR_RETURN(report->normalized_avg_group_size,
+                       NormalizedAvgGroupSize(groups, k));
   return Status::OK();
+}
+
+// Decodes the release at `node` once, for the stages whose engine hands
+// back a node rather than a release: on `encoded` when the stage ran on
+// the encoded core, else with the legacy Mask (byte-identical either way).
+Result<MaskedMicrodata> DecodeNode(const Table& im,
+                                   const HierarchySet& hierarchies,
+                                   const EncodedTable* encoded,
+                                   const LatticeNode& node, size_t k,
+                                   RunTrace* trace) {
+  TraceSpan span(trace, "materialize");
+  span.Attr("path", encoded != nullptr ? "encoded" : "legacy");
+  if (encoded == nullptr) return Mask(im, hierarchies, node, k);
+  EncodedWorkspace ws;
+  return DecodeMasked(*encoded, node, k, &ws);
 }
 
 // Among a set of minimal nodes, prefer the lowest height, then
@@ -129,11 +142,19 @@ Result<AnonymizationReport> RunStage(
   GeneralizationLattice lattice(*hierarchies);
 
   if (algorithm == AnonymizationAlgorithm::kFullSuppression) {
-    // Last resort: mask at the lattice top. O(n), budget-exempt.
-    TraceSpan span(trace, "materialize");
+    // Last resort: mask at the lattice top. O(n), budget-exempt. The
+    // guaranteed release must not depend on the encoded core: when it
+    // cannot be built (a refused allocation), mask on the Value path.
     LatticeNode top = lattice.Top();
-    PSK_ASSIGN_OR_RETURN(MaskedMicrodata mm,
-                         Mask(im, *hierarchies, top, base_options.k));
+    std::optional<EncodedTable> encoded;
+    if (base_options.use_encoded_core) {
+      Result<EncodedTable> built = EncodedTable::Build(im, *hierarchies);
+      if (built.ok()) encoded = std::move(*built);
+    }
+    PSK_ASSIGN_OR_RETURN(
+        MaskedMicrodata mm,
+        DecodeNode(im, *hierarchies, encoded ? &*encoded : nullptr, top,
+                   base_options.k, trace));
     report.masked = std::move(mm.table);
     report.node = top;
     report.suppressed = mm.suppressed;
@@ -145,6 +166,11 @@ Result<AnonymizationReport> RunStage(
   options.budget = budget;
 
   std::optional<LatticeNode> node;
+  // Samarati and OLA decode their node themselves; the release they hand
+  // back is the stage's release. The minimal-set engines hand back the
+  // encoded core their verdicts ran on (null on the legacy path).
+  bool decoded = false;
+  std::shared_ptr<const EncodedTable> encoded;
   SearchStats stats;
   if (algorithm == AnonymizationAlgorithm::kOla) {
     OlaOptions ola_options;
@@ -157,7 +183,12 @@ Result<AnonymizationReport> RunStage(
           "Condition 1 fails: some confidential attribute has fewer than p "
           "distinct values");
     }
-    if (ola.found) node = ola.optimal;
+    if (ola.found) {
+      node = ola.optimal;
+      report.masked = std::move(ola.masked);
+      report.suppressed = ola.suppressed;
+      decoded = true;
+    }
   } else if (algorithm == AnonymizationAlgorithm::kSamarati) {
     PSK_ASSIGN_OR_RETURN(SearchResult result,
                          SamaratiSearch(im, *hierarchies, options));
@@ -167,7 +198,12 @@ Result<AnonymizationReport> RunStage(
           "Condition 1 fails: some confidential attribute has fewer than p "
           "distinct values");
     }
-    if (result.found) node = result.node;
+    if (result.found) {
+      node = result.node;
+      report.masked = std::move(result.masked);
+      report.suppressed = result.suppressed;
+      decoded = true;
+    }
   } else {
     MinimalSetResult result;
     switch (algorithm) {
@@ -198,6 +234,7 @@ Result<AnonymizationReport> RunStage(
     if (const LatticeNode* best = PickNode(result.minimal_nodes)) {
       node = *best;
     }
+    encoded = std::move(result.encoded);
   }
 
   if (stats.partial && stats.stop_reason == StatusCode::kCancelled) {
@@ -222,12 +259,14 @@ Result<AnonymizationReport> RunStage(
         "the suppression budget");
   }
 
-  TraceSpan materialize_span(trace, "materialize");
-  PSK_ASSIGN_OR_RETURN(MaskedMicrodata mm,
-                       Mask(im, *hierarchies, *node, base_options.k));
-  report.masked = std::move(mm.table);
+  if (!decoded) {
+    PSK_ASSIGN_OR_RETURN(MaskedMicrodata mm,
+                         DecodeNode(im, *hierarchies, encoded.get(), *node,
+                                    base_options.k, trace));
+    report.masked = std::move(mm.table);
+    report.suppressed = mm.suppressed;
+  }
   report.node = *node;
-  report.suppressed = mm.suppressed;
   report.stats = stats;
   report.partial = stats.partial;
   report.precision = Precision(*node, *hierarchies);
@@ -390,6 +429,7 @@ Result<AnonymizationReport> Anonymizer::RunImpl(RunTrace* trace) const {
                  hierarchy_set.has_value() ? &*hierarchy_set : nullptr,
                  chain[stage], base_options, stage_budget,
                  progress_heartbeat_);
+    TickHeartbeat();
     if (!attempt.ok()) {
       Status stage_error = attempt.status();
       if (trace != nullptr) {
@@ -433,6 +473,9 @@ Result<AnonymizationReport> Anonymizer::RunImpl(RunTrace* trace) const {
       PSK_ASSIGN_OR_RETURN(report.masked,
                            release_transform_(std::move(report.masked)));
     }
+    // The guard builds the release's group index from the release itself
+    // and hands it on; the scorecard reads the same index.
+    ReleaseGroups groups;
     if (guard_enabled_) {
       TraceSpan span(trace, "guard");
       GuardPolicy policy;
@@ -449,14 +492,19 @@ Result<AnonymizationReport> Anonymizer::RunImpl(RunTrace* trace) const {
       // Guard refusal is final — a violating release must not escape, and
       // falling back to a *weaker* algorithm could not fix it anyway.
       PSK_RETURN_IF_ERROR(EnforceRelease(report.masked, n, policy,
-                                         &report.guard, trace));
+                                         &report.guard, trace, &groups));
     }
-    TraceSpan scorecard_span(trace, "scorecard");
-    PSK_RETURN_IF_ERROR(FillScorecard(initial_microdata_, &report));
-    PSK_ASSIGN_OR_RETURN(
-        report.normalized_avg_group_size,
-        NormalizedAvgGroupSize(report.masked,
-                               report.masked.schema().KeyIndices(), k_));
+    TickHeartbeat();
+    {
+      TraceSpan scorecard_span(trace, "scorecard");
+      if (!guard_enabled_) {
+        TraceSpan span(trace, "group_index");
+        groups = ReleaseGroups::Build(report.masked);
+        span.Counter("classes", groups.num_classes());
+      }
+      PSK_RETURN_IF_ERROR(FillScorecard(groups, n, k_, &report));
+    }
+    TickHeartbeat();
     return report;
   }
   return Status(root_cause.code(), root_cause.message() + fallback_context);

@@ -314,6 +314,16 @@ class Anonymizer {
     return ingest_reservation_.Resize(initial_microdata_.ApproxBytes());
   }
 
+  /// Advances the run budget's liveness counter (no-op without one). The
+  /// search ticks it at every enforcer checkpoint; RunImpl ticks it at the
+  /// post-search boundaries (stage return, guard, scorecard) so a watchdog
+  /// does not mistake a long decode/guard/scorecard tail for a hang.
+  void TickHeartbeat() const {
+    if (budget_.heartbeat != nullptr) {
+      budget_.heartbeat->fetch_add(1, std::memory_order_relaxed);
+    }
+  }
+
   Table initial_microdata_;
   /// Holds the input table's bytes against budget_.memory across the
   /// ingest loop and Run (see ChargeInputFootprint). Makes Anonymizer

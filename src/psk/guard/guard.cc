@@ -1,7 +1,5 @@
 #include "psk/guard/guard.h"
 
-#include "psk/anonymity/kanonymity.h"
-#include "psk/anonymity/psensitive.h"
 #include "psk/common/failpoint.h"
 
 namespace psk {
@@ -48,7 +46,7 @@ std::string GuardReport::Summary() const {
 
 Result<GuardReport> VerifyRelease(const Table& masked, size_t original_rows,
                                   const GuardPolicy& policy,
-                                  RunTrace* trace) {
+                                  RunTrace* trace, ReleaseGroups* groups) {
   if (policy.k < 1) return Status::InvalidArgument("guard k must be >= 1");
   if (policy.p < 1) return Status::InvalidArgument("guard p must be >= 1");
   if (masked.num_rows() > original_rows) {
@@ -59,6 +57,15 @@ Result<GuardReport> VerifyRelease(const Table& masked, size_t original_rows,
 
   GuardReport report;
   report.suppressed = original_rows - masked.num_rows();
+
+  // One group index for every check, built from the release's own id
+  // columns.
+  ReleaseGroups index;
+  {
+    TraceSpan span(trace, "group_index");
+    index = ReleaseGroups::Build(masked);
+    span.Counter("classes", index.num_classes());
+  }
 
   std::vector<size_t> key_indices = masked.schema().KeyIndices();
   std::vector<size_t> conf_indices = masked.schema().ConfidentialIndices();
@@ -73,8 +80,7 @@ Result<GuardReport> VerifyRelease(const Table& masked, size_t original_rows,
   // being a free pass.
   if (!key_indices.empty() && masked.num_rows() > 0) {
     TraceSpan span(trace, "check_kanonymity");
-    PSK_ASSIGN_OR_RETURN(report.observed_k,
-                         AnonymityK(masked, key_indices));
+    report.observed_k = index.MinClassSize();
     span.Counter("observed_k", report.observed_k);
     check_verdict(span, report.observed_k >= policy.k);
     if (report.observed_k < policy.k) {
@@ -93,9 +99,7 @@ Result<GuardReport> VerifyRelease(const Table& masked, size_t original_rows,
                    "policy requires p=" + Num(policy.p) +
                        " but the release has no confidential attributes");
     } else if (!key_indices.empty() && masked.num_rows() > 0) {
-      PSK_ASSIGN_OR_RETURN(
-          report.observed_p,
-          SensitivityP(masked, key_indices, conf_indices));
+      report.observed_p = index.MinDistinct();
       span.Counter("observed_p", report.observed_p);
       check_verdict(span, report.observed_p >= policy.p);
       if (report.observed_p < policy.p) {
@@ -128,9 +132,7 @@ Result<GuardReport> VerifyRelease(const Table& masked, size_t original_rows,
   if (policy.max_attribute_disclosures.has_value() && !key_indices.empty() &&
       !conf_indices.empty() && masked.num_rows() > 0) {
     TraceSpan span(trace, "check_disclosure");
-    PSK_ASSIGN_OR_RETURN(
-        report.attribute_disclosures,
-        CountAttributeDisclosures(masked, key_indices, conf_indices));
+    report.attribute_disclosures = index.AttributeDisclosures();
     span.Counter("disclosures", report.attribute_disclosures);
     check_verdict(span,
                   report.attribute_disclosures <=
@@ -144,17 +146,19 @@ Result<GuardReport> VerifyRelease(const Table& masked, size_t original_rows,
   }
 
   report.passed = report.violations.empty();
+  if (groups != nullptr) *groups = std::move(index);
   return report;
 }
 
 Status EnforceRelease(const Table& masked, size_t original_rows,
                       const GuardPolicy& policy, GuardReport* report,
-                      RunTrace* trace) {
+                      RunTrace* trace, ReleaseGroups* groups) {
   // Torture seam: an injected error here must surface as the run's own
   // clean failure — a release the guard could not verify never escapes.
   PSK_FAIL_POINT("guard.verify");
   PSK_ASSIGN_OR_RETURN(GuardReport verified,
-                       VerifyRelease(masked, original_rows, policy, trace));
+                       VerifyRelease(masked, original_rows, policy, trace,
+                                     groups));
   if (report != nullptr) *report = verified;
   if (verified.passed) return Status::OK();
   return Status::FailedPrecondition("release guard refused the release: " +

@@ -7,6 +7,7 @@
 #include <vector>
 
 #include "psk/common/result.h"
+#include "psk/table/release_groups.h"
 #include "psk/table/table.h"
 #include "psk/trace/trace.h"
 
@@ -80,23 +81,31 @@ struct GuardReport {
 /// only on malformed input, e.g. a release with more rows than the
 /// original.
 ///
-/// When `trace` is non-null, one span per executed check is recorded on it
-/// (names "check_kanonymity", "check_psensitivity", "check_suppression",
-/// "check_disclosure") carrying the observed value and a pass/fail
-/// attribute. The guard runs on the caller's thread, so it may open spans
-/// directly.
+/// Every check reads one ReleaseGroups index built from `masked` itself —
+/// never from the search's encoded table, so the guard stays an
+/// independent re-check of the release. When `groups` is non-null it
+/// receives that index, for callers (the scorecard) that measure the same
+/// partition.
+///
+/// When `trace` is non-null, the index build records a "group_index" span
+/// and each executed check one span (names "check_kanonymity",
+/// "check_psensitivity", "check_suppression", "check_disclosure")
+/// carrying the observed value and a pass/fail attribute. The guard runs
+/// on the caller's thread, so it may open spans directly.
 Result<GuardReport> VerifyRelease(const Table& masked, size_t original_rows,
                                   const GuardPolicy& policy,
-                                  RunTrace* trace = nullptr);
+                                  RunTrace* trace = nullptr,
+                                  ReleaseGroups* groups = nullptr);
 
 /// Convenience wrapper: returns OK when the release passes, otherwise
 /// FailedPrecondition whose message lists every violated check. When
 /// `report` is non-null it receives the full report either way. `trace`
-/// is forwarded to VerifyRelease.
+/// and `groups` are forwarded to VerifyRelease.
 Status EnforceRelease(const Table& masked, size_t original_rows,
                       const GuardPolicy& policy,
                       GuardReport* report = nullptr,
-                      RunTrace* trace = nullptr);
+                      RunTrace* trace = nullptr,
+                      ReleaseGroups* groups = nullptr);
 
 }  // namespace psk
 

@@ -277,9 +277,13 @@ Status ValidateHierarchyOverColumn(const Table& table, size_t col,
     return Status::OutOfRange("column index out of range: " +
                               std::to_string(col));
   }
-  std::unordered_set<Value, ValueHash> distinct;
-  for (const Value& v : table.column(col)) distinct.insert(v);
-  for (const Value& v : distinct) {
+  // Each distinct cell once, in row order, so the reported value is the
+  // first failing one in the table. Within a typed column equal cells
+  // carry equal ids, so deduplicating ids hashes no Value.
+  std::unordered_set<ValueId> seen;
+  for (ValueId id : table.column_ids(col)) {
+    if (!seen.insert(id).second) continue;
+    const Value& v = table.store()->Get(id);
     for (int level = 0; level < hierarchy.num_levels(); ++level) {
       Result<Value> generalized = hierarchy.Generalize(v, level);
       if (!generalized.ok()) {

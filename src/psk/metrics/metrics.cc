@@ -21,6 +21,37 @@ Result<uint64_t> DiscernibilityMetric(const Table& masked,
   return dm;
 }
 
+namespace {
+
+// Sum of |G|^2 over the groups of at least `min_size` rows, plus the
+// suppressed tuples' share.
+uint64_t DiscernibilityOfSizes(const std::vector<uint32_t>& sizes,
+                               size_t min_size, size_t suppressed,
+                               size_t total_rows) {
+  uint64_t dm = 0;
+  for (uint32_t size : sizes) {
+    if (size >= min_size) dm += static_cast<uint64_t>(size) * size;
+  }
+  return dm + static_cast<uint64_t>(suppressed) * total_rows;
+}
+
+}  // namespace
+
+uint64_t DiscernibilityMetric(const ReleaseGroups& groups, size_t suppressed,
+                              size_t total_rows) {
+  return DiscernibilityOfSizes(groups.class_sizes(), 0, suppressed,
+                               total_rows);
+}
+
+Result<uint64_t> EncodedDiscernibility(const EncodedTable& encoded,
+                                       const LatticeNode& node, size_t k,
+                                       EncodedWorkspace* ws) {
+  PSK_RETURN_IF_ERROR(encoded.GroupByNode(node, ws));
+  return DiscernibilityOfSizes(ws->groups.group_sizes, k,
+                               ws->groups.RowsInGroupsSmallerThan(k),
+                               encoded.num_rows());
+}
+
 Result<double> NormalizedAvgGroupSize(const Table& masked,
                                       const std::vector<size_t>& key_indices,
                                       size_t k) {
@@ -30,6 +61,15 @@ Result<double> NormalizedAvgGroupSize(const Table& masked,
   if (fs.num_groups() == 0) return 0.0;
   double avg = static_cast<double>(masked.num_rows()) /
                static_cast<double>(fs.num_groups());
+  return avg / static_cast<double>(k);
+}
+
+Result<double> NormalizedAvgGroupSize(const ReleaseGroups& groups,
+                                      size_t k) {
+  if (k == 0) return Status::InvalidArgument("k must be >= 1");
+  if (groups.num_classes() == 0) return 0.0;
+  double avg = static_cast<double>(groups.num_rows()) /
+               static_cast<double>(groups.num_classes());
   return avg / static_cast<double>(k);
 }
 

@@ -7,6 +7,8 @@
 #include "psk/common/result.h"
 #include "psk/hierarchy/hierarchy.h"
 #include "psk/lattice/lattice.h"
+#include "psk/table/encoded.h"
+#include "psk/table/release_groups.h"
 #include "psk/table/table.h"
 
 namespace psk {
@@ -22,11 +24,28 @@ Result<uint64_t> DiscernibilityMetric(const Table& masked,
                                       const std::vector<size_t>& key_indices,
                                       size_t suppressed, size_t total_rows);
 
+/// DiscernibilityMetric of a release read off its group index (the
+/// release's key attributes, no group-by of its own).
+uint64_t DiscernibilityMetric(const ReleaseGroups& groups, size_t suppressed,
+                              size_t total_rows);
+
+/// DiscernibilityMetric of Mask(initial_microdata, hierarchies, node, k)
+/// computed from the encoded QI partition at `node` alone: sum of |G|^2
+/// over the groups of at least k rows (the ones suppression keeps) plus
+/// suppressed * num_rows. Nothing is decoded. `ws` is the caller's
+/// reusable workspace. Fails like EncodedTable::GroupByNode.
+Result<uint64_t> EncodedDiscernibility(const EncodedTable& encoded,
+                                       const LatticeNode& node, size_t k,
+                                       EncodedWorkspace* ws);
+
 /// Normalized average group size C_AVG = (n / #groups) / k (LeFevre 2006).
 /// 1.0 is ideal (every group exactly k); larger means coarser grouping.
 Result<double> NormalizedAvgGroupSize(const Table& masked,
                                       const std::vector<size_t>& key_indices,
                                       size_t k);
+
+/// NormalizedAvgGroupSize of a release read off its group index.
+Result<double> NormalizedAvgGroupSize(const ReleaseGroups& groups, size_t k);
 
 /// Samarati's height metric: height(node) / height(GL) in [0, 1].
 double NormalizedHeight(const LatticeNode& node,

@@ -78,4 +78,10 @@ Result<double> MarketerRisk(const Table& masked,
          static_cast<double>(masked.num_rows());
 }
 
+double MarketerRisk(const ReleaseGroups& groups) {
+  if (groups.num_rows() == 0) return 0.0;
+  return static_cast<double>(groups.num_classes()) /
+         static_cast<double>(groups.num_rows());
+}
+
 }  // namespace psk

@@ -5,6 +5,7 @@
 #include <vector>
 
 #include "psk/common/result.h"
+#include "psk/table/release_groups.h"
 #include "psk/table/table.h"
 
 namespace psk {
@@ -56,6 +57,9 @@ Result<RiskSummary> JournalistRisk(
 /// uniformly at random within groups re-identifies — #groups / n.
 Result<double> MarketerRisk(const Table& masked,
                             const std::vector<size_t>& key_indices);
+
+/// MarketerRisk of a release read off its group index.
+double MarketerRisk(const ReleaseGroups& groups);
 
 }  // namespace psk
 

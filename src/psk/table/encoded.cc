@@ -7,37 +7,6 @@
 #include "psk/common/failpoint.h"
 
 namespace psk {
-namespace {
-
-/// Dictionary-encodes one column, numbering codes by first occurrence in
-/// row order. `representatives` receives one Value per code — the first
-/// Value observed with that code.
-///
-/// Cells are already interned: within a typed column, equal Values carry
-/// equal store ids, so densification is a uint32 -> uint32 map over the
-/// id column — no Value is hashed and no string payload is touched. The
-/// first-occurrence numbering makes the codes invariant to store id
-/// assignment (which may vary across runs under parallel ingest).
-void EncodeColumn(const Table& table, size_t col, std::vector<uint32_t>* codes,
-                  std::vector<Value>* representatives) {
-  const std::vector<ValueId>& ids = table.column_ids(col);
-  const ValueStore& store = *table.store();
-  size_t num_rows = ids.size();
-  codes->resize(num_rows);
-  std::unordered_map<ValueId, uint32_t> dictionary;
-  dictionary.reserve(std::min(num_rows, size_t{1} << 20));
-  for (size_t row = 0; row < num_rows; ++row) {
-    auto [it, inserted] = dictionary.try_emplace(
-        ids[row], static_cast<uint32_t>(dictionary.size()));
-    (*codes)[row] = it->second;
-    if (inserted && representatives != nullptr) {
-      representatives->push_back(store.Get(ids[row]));
-    }
-  }
-}
-
-}  // namespace
-
 Result<EncodedTable> EncodedTable::Build(const Table& initial_microdata,
                                          const HierarchySet& hierarchies) {
   // Torture seam: a failed Build makes every lattice engine fall back to
@@ -60,8 +29,9 @@ Result<EncodedTable> EncodedTable::Build(const Table& initial_microdata,
     KeyColumn& kc = enc.keys_[slot];
     kc.src_col = key_cols[slot];
     std::vector<Value> grounds;
-    EncodeColumn(initial_microdata, kc.src_col, &kc.codes, &grounds);
-    kc.cardinality = static_cast<uint32_t>(grounds.size());
+    kc.cardinality = EncodeColumnIds(initial_microdata, kc.src_col,
+                                     /*nan_never_equal=*/false, &kc.codes,
+                                     &grounds);
 
     const AttributeHierarchy& hierarchy = hierarchies.hierarchy(slot);
     kc.num_levels = hierarchy.num_levels();
@@ -98,9 +68,8 @@ Result<EncodedTable> EncodedTable::Build(const Table& initial_microdata,
   for (size_t j = 0; j < conf_cols.size(); ++j) {
     ConfColumn& cc = enc.confs_[j];
     cc.src_col = conf_cols[j];
-    std::vector<Value> representatives;
-    EncodeColumn(initial_microdata, cc.src_col, &cc.codes, &representatives);
-    cc.cardinality = static_cast<uint32_t>(representatives.size());
+    cc.cardinality = EncodeColumnIds(initial_microdata, cc.src_col,
+                                     /*nan_never_equal=*/false, &cc.codes);
   }
   return enc;
 }

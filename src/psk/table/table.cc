@@ -1,7 +1,9 @@
 #include "psk/table/table.h"
 
 #include <algorithm>
+#include <cmath>
 #include <sstream>
+#include <unordered_map>
 #include <unordered_set>
 
 #include "psk/common/check.h"
@@ -268,6 +270,39 @@ std::string Table::ToDisplayString(size_t max_rows) const {
     os << "... (" << num_rows_ - rows_to_show << " more rows)\n";
   }
   return os.str();
+}
+
+uint32_t EncodeColumnIds(const Table& table, size_t col, bool nan_never_equal,
+                         std::vector<uint32_t>* codes,
+                         std::vector<Value>* representatives) {
+  // Marks an id whose value is a NaN double: every row carrying it takes
+  // the next fresh code.
+  constexpr uint32_t kNeverEqual = UINT32_MAX;
+  const std::vector<ValueId>& ids = table.column_ids(col);
+  const ValueStore& store = *table.store();
+  size_t num_rows = ids.size();
+  codes->resize(num_rows);
+  std::unordered_map<ValueId, uint32_t> dictionary;
+  dictionary.reserve(std::min(num_rows, size_t{1} << 20));
+  uint32_t next = 0;
+  for (size_t row = 0; row < num_rows; ++row) {
+    auto [it, inserted] = dictionary.try_emplace(ids[row], next);
+    if (inserted && nan_never_equal) {
+      const Value& value = store.Get(ids[row]);
+      if (value.type() == ValueType::kDouble && std::isnan(value.AsDouble())) {
+        it->second = kNeverEqual;
+      }
+    }
+    uint32_t code = it->second == kNeverEqual ? next : it->second;
+    if (code == next) {
+      ++next;
+      if (representatives != nullptr) {
+        representatives->push_back(store.Get(ids[row]));
+      }
+    }
+    (*codes)[row] = code;
+  }
+  return next;
 }
 
 }  // namespace psk

@@ -199,6 +199,22 @@ class Table {
   size_t num_rows_ = 0;
 };
 
+/// Dictionary-encodes column `col` of `table` into dense uint32 codes
+/// numbered by first occurrence in row order, and returns the number of
+/// codes. Cells are interned, so within a typed column equal Values carry
+/// equal ids: the densification is one uint32 -> uint32 map over the id
+/// column — no Value is hashed and no string payload is touched — and the
+/// codes are invariant to store id assignment (which may vary across runs
+/// under parallel ingest).
+///
+/// `nan_never_equal` gives every NaN double cell a code of its own, even
+/// when row copies share its id (Value equality: NaN equals nothing).
+/// `representatives`, when set, receives one Value per code — the first
+/// cell observed with that code.
+uint32_t EncodeColumnIds(const Table& table, size_t col, bool nan_never_equal,
+                         std::vector<uint32_t>* codes,
+                         std::vector<Value>* representatives = nullptr);
+
 }  // namespace psk
 
 #endif  // PSK_TABLE_TABLE_H_

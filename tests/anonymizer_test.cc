@@ -341,5 +341,34 @@ TEST(AnonymizerTest, DisabledGuardReleasesEvenTamperedOutput) {
   EXPECT_EQ(report.achieved_p, 1u);  // the scorecard still tells the truth
 }
 
+// A scheduler watchdog reads RunBudget::heartbeat to tell a slow job from
+// a hung one. The search ticks it at every budget checkpoint; the
+// post-search tail (guard, scorecard) must tick it too, or a long tail
+// reads as a frozen job. Deterministic: the transform runs between the
+// stage and the guard, so it snapshots the counter there, and the guard
+// and scorecard boundaries each advance it once after that.
+TEST(AnonymizerTest, HeartbeatAdvancesThroughThePostSearchTail) {
+  for (bool guard : {true, false}) {
+    AdultFixture fixture(200, 5);
+    Anonymizer anonymizer = fixture.MakeAnonymizer();
+    anonymizer.set_k(3).set_p(2).set_max_suppression(6);
+    RunBudget budget;
+    budget.heartbeat = std::make_shared<std::atomic<uint64_t>>(0);
+    anonymizer.set_budget(budget);
+    auto at_transform = std::make_shared<uint64_t>(0);
+    anonymizer.set_release_transform(
+        [heartbeat = budget.heartbeat, at_transform](Table masked)
+            -> Result<Table> {
+          *at_transform = heartbeat->load();
+          return masked;
+        });
+    anonymizer.set_guard_enabled(guard);
+    UnwrapOk(anonymizer.Run());
+    EXPECT_GT(*at_transform, 0u) << "guard=" << guard;
+    EXPECT_EQ(budget.heartbeat->load(), *at_transform + 2)
+        << "guard=" << guard;
+  }
+}
+
 }  // namespace
 }  // namespace psk

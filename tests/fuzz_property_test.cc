@@ -149,6 +149,33 @@ TEST(HierarchyValidationTest, RejectsUncoveredValueWithContext) {
   EXPECT_NE(status.message().find("rogue"), std::string::npos);
 }
 
+TEST(HierarchyValidationTest, NamesTheFirstUncoveredValueInRowOrder) {
+  Schema schema = UnwrapOk(Schema::Create(
+      {{"M", ValueType::kString, AttributeRole::kKey}}));
+  TaxonomyHierarchy::Builder builder("M", 2);
+  builder.AddValue("known", {"*"});
+  auto hierarchy = UnwrapOk(builder.Build());
+  // Both orders of the same two bad values: the message names whichever
+  // comes first in the table, never the other.
+  for (bool swap : {false, true}) {
+    const char* first = swap ? "rogue-a" : "rogue-b";
+    const char* second = swap ? "rogue-b" : "rogue-a";
+    Table t(schema);
+    PSK_ASSERT_OK(t.AppendRow({Value("known")}));
+    PSK_ASSERT_OK(t.AppendRow({Value(first)}));
+    PSK_ASSERT_OK(t.AppendRow({Value("known")}));
+    PSK_ASSERT_OK(t.AppendRow({Value(second)}));
+    PSK_ASSERT_OK(t.AppendRow({Value(second)}));
+    Status status = ValidateHierarchyOverColumn(t, 0, *hierarchy);
+    ASSERT_FALSE(status.ok());
+    EXPECT_NE(status.message().find(std::string("'") + first + "'"),
+              std::string::npos)
+        << status.message();
+    EXPECT_EQ(status.message().find(second), std::string::npos)
+        << status.message();
+  }
+}
+
 TEST(HierarchyValidationTest, RejectsOutOfRangeColumn) {
   Table fig3 = UnwrapOk(Figure3Table());
   SuppressionHierarchy sex("Sex");

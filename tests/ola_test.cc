@@ -9,6 +9,7 @@
 #include "psk/datagen/paper_tables.h"
 #include "psk/datagen/synthetic.h"
 #include "psk/metrics/metrics.h"
+#include "psk/table/csv.h"
 #include "test_util.h"
 
 namespace psk {
@@ -93,6 +94,62 @@ TEST(OlaTest, OptimalBeatsEveryOtherMinimalNodeOnMetric) {
         im.num_rows()));
     EXPECT_GE(static_cast<double>(dm), result.optimal_metric)
         << node.ToString();
+  }
+}
+
+// The metric phase scores each minimal node from its encoded class sizes
+// and decodes only the winner. On every minimal node the encoded DM must
+// equal DiscernibilityMetric over that node's decoded release, and the
+// chosen node and its release must be the ones the decode-every-node
+// phase picked: the first minimal node with the smallest DM, masked.
+TEST(OlaTest, EncodedDiscernibilityMatchesDecodedReleaseOnEveryMinimalNode) {
+  struct Fixture {
+    const char* name;
+    Table im;
+    HierarchySet hierarchies;
+    size_t k, p, max_suppression;
+  };
+  Table adult = UnwrapOk(AdultGenerate(500, /*seed=*/3));
+  HierarchySet adult_h = UnwrapOk(AdultHierarchies(adult.schema()));
+  SyntheticData synthetic = UnwrapOk(
+      SyntheticGenerate(MakeUniformSpec(400, 3, 6, 1, 4, 0.5), /*seed=*/9));
+  std::vector<Fixture> fixtures;
+  fixtures.push_back({"adult", std::move(adult), std::move(adult_h), 3, 1, 5});
+  fixtures.push_back({"synthetic", std::move(synthetic.table),
+                      std::move(synthetic.hierarchies), 3, 2, 8});
+  for (const Fixture& f : fixtures) {
+    SCOPED_TRACE(f.name);
+    OlaOptions options;
+    options.search.k = f.k;
+    options.search.p = f.p;
+    options.search.max_suppression = f.max_suppression;
+    OlaResult result = UnwrapOk(OlaSearch(f.im, f.hierarchies, options));
+    ASSERT_TRUE(result.found);
+    ASSERT_GE(result.minimal_nodes.size(), 2u);
+
+    EncodedTable encoded = UnwrapOk(EncodedTable::Build(f.im, f.hierarchies));
+    EncodedWorkspace ws;
+    const LatticeNode* expected = nullptr;
+    uint64_t expected_dm = 0;
+    for (const LatticeNode& node : result.minimal_nodes) {
+      MaskedMicrodata mm = UnwrapOk(Mask(f.im, f.hierarchies, node, f.k));
+      uint64_t decoded_dm = UnwrapOk(DiscernibilityMetric(
+          mm.table, mm.table.schema().KeyIndices(), mm.suppressed,
+          f.im.num_rows()));
+      EXPECT_EQ(UnwrapOk(EncodedDiscernibility(encoded, node, f.k, &ws)),
+                decoded_dm)
+          << node.ToString();
+      if (expected == nullptr || decoded_dm < expected_dm) {
+        expected = &node;
+        expected_dm = decoded_dm;
+      }
+    }
+    EXPECT_EQ(result.optimal, *expected);
+    EXPECT_EQ(result.optimal_metric, static_cast<double>(expected_dm));
+    MaskedMicrodata reference =
+        UnwrapOk(Mask(f.im, f.hierarchies, *expected, f.k));
+    EXPECT_EQ(WriteCsvString(result.masked), WriteCsvString(reference.table));
+    EXPECT_EQ(result.suppressed, reference.suppressed);
   }
 }
 

@@ -8,6 +8,7 @@
 
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <chrono>
 #include <future>
 #include <memory>
@@ -24,6 +25,7 @@
 #include "psk/datagen/adult.h"
 #include "psk/service/scheduler.h"
 #include "psk/table/csv.h"
+#include "gated_hierarchy.h"
 #include "test_util.h"
 
 namespace psk {
@@ -117,9 +119,11 @@ TEST(SchedulerStressTest, MixedOverloadRoundCompletesDeterministically) {
   // encode and scratch charges are transient spikes the watchdog never
   // samples), so the soft quota is pinned below the rung-1 cache cap:
   // even the shrunken cache keeps the job over-soft and the ladder walks
-  // to rung 3 instead of disarming as soon as the shrink lands. Sized so
-  // the sweep outlasts three watchdog dwells — rung 3 must land while
-  // the search is still charging its budget.
+  // to rung 3 instead of disarming as soon as the shrink lands. Each
+  // attempt is held in its hierarchy preflight (input charged) until the
+  // ladder has moved: the parallel attempt until rung 2 demotes it, the
+  // sequential one until rung 3 forces exhaustion. The search is too fast
+  // to outlast the watchdog's dwells reliably on a loaded host.
   JobSpec hog_spec = MakeSpec(12000, 46, AnonymizationAlgorithm::kExhaustive);
   hog_spec.fallback_chain = {AnonymizationAlgorithm::kFullSuppression};
 
@@ -201,6 +205,18 @@ TEST(SchedulerStressTest, MixedOverloadRoundCompletesDeterministically) {
   hog.priority = JobPriority::kNormal;
   hog.spec = hog_spec;
   hog.memory_quota = 700 * 1024;
+  auto hog_attempts = std::make_shared<std::atomic<int>>(0);
+  auto hog_gate = std::make_shared<GatedHierarchy>(
+      hog.spec.hierarchies[0], [&scheduler, hog_attempts] {
+        SchedulerStats stats = scheduler.stats();
+        return *hog_attempts == 1 ? stats.degrade_sequential_restarts > 0
+                                  : stats.degrade_force_exhausted > 0;
+      });
+  hog.spec.hierarchies[0] = hog_gate;
+  hog.on_start = [hog_gate, hog_attempts] {
+    ++*hog_attempts;
+    hog_gate->Arm();
+  };
   uint64_t hog_id = UnwrapOk(scheduler.Submit(std::move(hog)));
 
   SchedulerJobRequest fault;

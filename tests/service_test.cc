@@ -24,6 +24,7 @@
 #include "psk/common/memory_budget.h"
 #include "psk/datagen/adult.h"
 #include "psk/table/csv.h"
+#include "gated_hierarchy.h"
 #include "test_util.h"
 
 namespace psk {
@@ -751,28 +752,31 @@ TEST(SchedulerTest, WatchdogHardCancelsAHungJobAndKeepsScheduling) {
 // Degradation ladder.
 
 TEST(SchedulerTest, DegradationLadderEndsInAPartialRelease) {
-  // Large enough that the sweep outlasts three watchdog dwells: the
-  // ladder's rung 3 must land while the search is still charging its
-  // budget, or the stop has nothing left to interrupt.
+  // The job is held in its hierarchy preflight, with its input charged,
+  // until the watchdog has walked all three rungs; the exhaustive stage
+  // then meets the force-exhausted budget at its first charge. Holding
+  // it is what makes the order deterministic: an unheld search can end
+  // before three 1 ms dwells have passed, most of all on a loaded host.
   JobSpec spec = MakeSpec(12000, 11, AnonymizationAlgorithm::kExhaustive);
   spec.fallback_chain = {AnonymizationAlgorithm::kFullSuppression};
 
   SchedulerOptions options;
   options.watchdog_interval = std::chrono::milliseconds(1);
-  // The job's *sustained* footprint is its verdict cache (~12KB for the
-  // Adult lattice); the encode and group-by charges are transient spikes
-  // the watchdog never samples. Pin the soft limit (1% of the quota =
-  // 7KB) below the rung-1 cache cap of 8KB, so even the shrunken cache
-  // keeps the job over-soft and the watchdog walks every rung; the hard
-  // limit stays far above the ~500KB transient peak so nothing trips
-  // until rung 3 forces exhaustion.
+  // The job's input table is charged for the whole run (~540KB here), so
+  // a 1% soft quota keeps it over-soft and the watchdog walks every rung.
+  // The hard quota must leave room for the input plus the encode and
+  // group-by charges, or the exhaustive stage budget-stops at its encode
+  // before the ladder engages.
   options.cache_shrink_bytes = 8 * 1024;
   options.soft_quota_percent = 1;
   JobScheduler scheduler(options);
   SchedulerJobRequest request;
   request.name = "hog";
   request.spec = spec;
-  request.memory_quota = 700 * 1024;
+  request.memory_quota = 2 * 1024 * 1024;
+  request.spec.hierarchies[0] = std::make_shared<GatedHierarchy>(
+      request.spec.hierarchies[0],
+      [&scheduler] { return scheduler.stats().degrade_force_exhausted > 0; });
   uint64_t id = UnwrapOk(scheduler.Submit(std::move(request)));
   SchedulerJobResult result = UnwrapOk(scheduler.Wait(id));
 
@@ -841,6 +845,12 @@ TEST(SchedulerTest, LadderRestartsAParallelJobOnTheSequentialPath) {
     *pos += rows;
     return rows;
   };
+  // The first Generalize call is the sequential attempt's preflight (the
+  // cancelled attempt stops before it): hold it, input charged, until
+  // rung 3 lands, so the rung cannot miss a search that ends too soon.
+  request.spec.hierarchies[0] = std::make_shared<GatedHierarchy>(
+      request.spec.hierarchies[0],
+      [&scheduler] { return scheduler.stats().degrade_force_exhausted > 0; });
   uint64_t id = UnwrapOk(scheduler.Submit(std::move(request)));
   SchedulerJobResult result = UnwrapOk(scheduler.Wait(id));
 

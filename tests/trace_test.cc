@@ -313,17 +313,66 @@ TEST(TraceIntegrationTest, SinkExportsValidLookingJson) {
   std::remove(path.c_str());
 }
 
+// One decode, one group index: a run decodes its release exactly once on
+// the encoded core (Samarati inside the engine, the minimal-set engines in
+// the stage; no legacy Mask anywhere) and groups it exactly once, in the
+// guard — or in the scorecard when the guard is off.
+TEST(TraceIntegrationTest, OneDecodeAndOneGroupIndexPerRun) {
+  AdultFixture fixture;
+  for (AnonymizationAlgorithm algorithm :
+       {AnonymizationAlgorithm::kSamarati,
+        AnonymizationAlgorithm::kExhaustive,
+        AnonymizationAlgorithm::kIncognito,
+        AnonymizationAlgorithm::kBottomUp, AnonymizationAlgorithm::kOla}) {
+    for (bool guard : {true, false}) {
+      Anonymizer anonymizer = fixture.MakeAnonymizer();
+      anonymizer.set_k(3).set_p(2).set_max_suppression(6).set_algorithm(
+          algorithm);
+      anonymizer.set_guard_enabled(guard);
+      anonymizer.set_trace_enabled(true);
+      UnwrapOk(anonymizer.Run());
+      std::string signature = anonymizer.last_trace()->StructureSignature();
+      SCOPED_TRACE(signature);
+      EXPECT_EQ(CountOccurrences(signature, "materialize"), 1u);
+      EXPECT_EQ(CountOccurrences(signature, "materialize[path=encoded]"), 1u);
+      EXPECT_EQ(signature.find("path=legacy"), std::string::npos);
+      EXPECT_EQ(CountOccurrences(signature, "group_index"), 1u);
+      // The index is built by the guard when it runs, so the scorecard
+      // reads it rather than grouping again.
+      size_t index = signature.find("group_index");
+      size_t scorecard = signature.find("scorecard");
+      ASSERT_NE(scorecard, std::string::npos);
+      if (guard) {
+        EXPECT_LT(index, scorecard);
+      } else {
+        EXPECT_GT(index, scorecard);
+      }
+    }
+  }
+}
+
+// With the encoded core off, every lattice engine evaluates and decodes
+// on the legacy path, and the trace says so.
 TEST(TraceIntegrationTest, LegacyPathIsLabeled) {
   AdultFixture fixture(150, 2);
-  Anonymizer anonymizer = fixture.MakeAnonymizer();
-  anonymizer.set_k(2).set_p(2).set_max_suppression(4).set_use_encoded_core(
-      false);
-  anonymizer.set_trace_enabled(true);
-  AnonymizationReport report = UnwrapOk(anonymizer.Run());
-  EXPECT_EQ(report.stats.nodes_evaluated_encoded, 0u);
-  std::string signature = anonymizer.last_trace()->StructureSignature();
-  EXPECT_NE(signature.find("path=legacy"), std::string::npos) << signature;
-  EXPECT_EQ(signature.find("path=encoded"), std::string::npos) << signature;
+  for (AnonymizationAlgorithm algorithm :
+       {AnonymizationAlgorithm::kSamarati,
+        AnonymizationAlgorithm::kExhaustive,
+        AnonymizationAlgorithm::kIncognito,
+        AnonymizationAlgorithm::kBottomUp, AnonymizationAlgorithm::kOla}) {
+    Anonymizer anonymizer = fixture.MakeAnonymizer();
+    anonymizer.set_k(2).set_p(2).set_max_suppression(4).set_use_encoded_core(
+        false);
+    anonymizer.set_algorithm(algorithm);
+    anonymizer.set_trace_enabled(true);
+    AnonymizationReport report = UnwrapOk(anonymizer.Run());
+    EXPECT_EQ(report.algorithm_used, algorithm);
+    EXPECT_EQ(report.stats.nodes_evaluated_encoded, 0u);
+    std::string signature = anonymizer.last_trace()->StructureSignature();
+    SCOPED_TRACE(signature);
+    EXPECT_NE(signature.find("path=legacy"), std::string::npos);
+    EXPECT_EQ(signature.find("path=encoded"), std::string::npos);
+  }
 }
 
 // ---------------------------------------------------------------------------
