@@ -5,7 +5,8 @@
 //
 //   bench_parallel_scaling [--trace] [--threads=1,2,4,8] [rows] [out.json]
 //
-// Defaults: 4000 rows, ./BENCH_parallel.json, threads 1/2/4/8. With
+// Defaults: 4000 rows, ./BENCH_parallel.json, threads 1/2/4/8. An unknown
+// flag, or a zero or non-numeric size, exits 2 before anything runs. With
 // --trace, one extra (untimed) traced run per engine at the highest
 // thread count writes the merged span trees to <out>.trace.json; the
 // timed runs stay untraced.
@@ -16,7 +17,6 @@
 // scaling, so the CI gate must skip those rows rather than gate on noise.
 
 #include <chrono>
-#include <cstdlib>
 #include <fstream>
 #include <iostream>
 #include <string>
@@ -31,6 +31,7 @@
 #include "psk/common/json_writer.h"
 #include "psk/datagen/adult.h"
 #include "psk/trace/trace.h"
+#include "bench_cli.h"
 
 namespace psk {
 namespace {
@@ -93,10 +94,14 @@ void WriteTrace(const Table& im, const HierarchySet& hs, size_t rows,
   std::cout << "wrote " << trace_path << "\n";
 }
 
+constexpr char kUsage[] =
+    "usage: bench_parallel_scaling [--trace] [--threads=1,2,4,8] [rows] "
+    "[out.json]\n";
+
 int Main(int argc, char** argv) {
   bool with_trace = false;
   std::vector<size_t> thread_counts = {1, 2, 4, 8};
-  std::vector<char*> positional;
+  std::vector<std::string> positional;
   for (int i = 1; i < argc; ++i) {
     std::string arg(argv[i]);
     if (arg == "--trace") {
@@ -105,25 +110,31 @@ int Main(int argc, char** argv) {
       thread_counts.clear();
       std::string list = arg.substr(10);
       size_t pos = 0;
-      while (pos < list.size()) {
+      while (pos <= list.size()) {
         size_t comma = list.find(',', pos);
         if (comma == std::string::npos) comma = list.size();
-        size_t value =
-            static_cast<size_t>(std::atoll(list.substr(pos, comma - pos).c_str()));
-        if (value > 0) thread_counts.push_back(value);
+        size_t value;
+        if (!ParseCount(std::string_view(list).substr(pos, comma - pos),
+                        &value)) {
+          std::cerr << "invalid --threads list '" << list << "'\n" << kUsage;
+          return kUsageExit;
+        }
+        thread_counts.push_back(value);
         pos = comma + 1;
       }
-      if (thread_counts.empty()) {
-        std::cerr << "invalid --threads list\n";
-        return 1;
-      }
+    } else if (arg.rfind("-", 0) == 0) {
+      std::cerr << "unknown flag '" << arg << "'\n" << kUsage;
+      return kUsageExit;
     } else {
-      positional.push_back(argv[i]);
+      positional.push_back(arg);
     }
   }
-  size_t rows = positional.size() > 0
-                    ? static_cast<size_t>(std::atoll(positional[0]))
-                    : 4000;
+  size_t rows = 4000;
+  if (positional.size() > 2 ||
+      (!positional.empty() && !ParseCount(positional[0], &rows))) {
+    std::cerr << kUsage;
+    return kUsageExit;
+  }
   std::string out_path =
       positional.size() > 1 ? positional[1] : "BENCH_parallel.json";
 

@@ -9,7 +9,8 @@
 //
 //   bench_scale_rows [max_rows] [out.json]
 //
-// Defaults: 1,000,000 rows, ./BENCH_scale.json. Scales above max_rows
+// Defaults: 1,000,000 rows, ./BENCH_scale.json. A non-numeric max_rows,
+// one below the smallest scale, or any flag exits 2 before anything runs. Scales above max_rows
 // are skipped (CI on small runners can pass 100000).
 //
 // Tracked bytes = what the MemoryBudget seams see: the growing table
@@ -23,7 +24,6 @@
 
 #include <algorithm>
 #include <chrono>
-#include <cstdlib>
 #include <fstream>
 #include <iostream>
 #include <memory>
@@ -37,6 +37,7 @@
 #include "psk/datagen/synthetic.h"
 #include "psk/table/encoded.h"
 #include "psk/table/table.h"
+#include "bench_cli.h"
 
 namespace psk {
 namespace {
@@ -181,11 +182,15 @@ EndToEndResult RunEndToEnd(size_t rows, uint64_t seed) {
 }
 
 int Main(int argc, char** argv) {
-  size_t max_rows = argc > 1 ? static_cast<size_t>(std::atoll(argv[1]))
-                             : 1000000;
+  std::vector<size_t> scales = {10000, 100000, 1000000};
+  size_t max_rows = 1000000;
+  if (argc > 3 || (argc > 1 && !ParseCount(argv[1], &max_rows)) ||
+      max_rows < scales.front()) {
+    std::cerr << "usage: bench_scale_rows [max_rows >= 10000] [out.json]\n";
+    return kUsageExit;
+  }
   std::string out_path = argc > 2 ? argv[2] : "BENCH_scale.json";
 
-  std::vector<size_t> scales = {10000, 100000, 1000000};
   std::vector<ScaleResult> results;
   for (size_t rows : scales) {
     if (rows > max_rows) continue;

@@ -40,7 +40,6 @@ run "$BUILD/bench/bench_table8_attribute_disclosure" table8_results.json
 # Extension experiments.
 run "$BUILD/bench/bench_query_error"
 run "$BUILD/bench/bench_ru_frontier"
-run "$BUILD/bench/bench_encoded_eval" --trace 4000 5 BENCH_encoded.json
 run "$BUILD/bench/bench_parallel_scaling" --trace 4000 BENCH_parallel.json
 
 # Archive the run traces next to the numeric results so a regression can
@@ -48,7 +47,7 @@ run "$BUILD/bench/bench_parallel_scaling" --trace 4000 BENCH_parallel.json
 # that failed above may not have written its trace; skip what's missing
 # (the failure itself is already recorded).
 mkdir -p traces
-for trace in BENCH_encoded.trace.json BENCH_parallel.trace.json; do
+for trace in BENCH_parallel.trace.json; do
   if [[ -f "$trace" ]]; then
     mv -f "$trace" traces/
     echo "archived traces/$trace"

@@ -87,17 +87,8 @@ Result<MinimalSetResult> IncognitoSearch(
     return result;
   }
 
-  // The subset phases run on the shared encoded core. When the sweeper's
-  // evaluators fell back to the legacy path (encoding failed or
-  // use_encoded_core is off), build the encoding here with the error
-  // propagated eagerly — Incognito has always encoded its subset phase up
-  // front, and an unencodable value fails the whole search either way.
+  // The subset phases run on the sweeper's shared encoded core.
   std::shared_ptr<const EncodedTable> encoded = evaluator.encoded_table();
-  if (encoded == nullptr) {
-    PSK_ASSIGN_OR_RETURN(EncodedTable built,
-                         EncodedTable::Build(initial_microdata, hierarchies));
-    encoded = std::make_shared<const EncodedTable>(std::move(built));
-  }
   std::vector<int> max_levels = hierarchies.MaxLevels();
   size_t m = max_levels.size();
   SearchStats* stats = evaluator.mutable_stats();

@@ -260,36 +260,21 @@ Result<OlaResult> OlaSearch(const Table& initial_microdata,
   }
 
   // Metric-optimal node among the minimal ones. Discernibility needs only
-  // each node's class sizes, so on the encoded core no candidate is
-  // decoded; only the winner is, once. The legacy path scores decoded
-  // releases and keeps the winner's.
-  std::optional<MaskedMicrodata> winner;
+  // each node's class sizes, so no candidate is decoded; only the winner
+  // is, once.
   {
     TraceSpan metric_span(trace, "metrics");
     metric_span.Counter("minimal_nodes", result.minimal_nodes.size());
-    const EncodedTable* encoded = evaluator.encoded_table().get();
     EncodedWorkspace ws;
     bool first = true;
     for (const LatticeNode& node : result.minimal_nodes) {
-      std::optional<MaskedMicrodata> candidate;
       double metric;
       switch (options.metric) {
         case OlaMetric::kDiscernibility: {
-          uint64_t dm;
-          if (encoded != nullptr) {
-            PSK_ASSIGN_OR_RETURN(dm, EncodedDiscernibility(
-                                         *encoded, node, options.search.k,
-                                         &ws));
-          } else {
-            Result<MaskedMicrodata> mm = evaluator.Materialize(node);
-            if (!mm.ok()) return sweeper.PropagateHardError(mm.status());
-            candidate = std::move(*mm);
-            PSK_ASSIGN_OR_RETURN(
-                dm, DiscernibilityMetric(candidate->table,
-                                         candidate->table.schema().KeyIndices(),
-                                         candidate->suppressed,
-                                         initial_microdata.num_rows()));
-          }
+          PSK_ASSIGN_OR_RETURN(
+              uint64_t dm,
+              EncodedDiscernibility(*evaluator.encoded_table(), node,
+                                    options.search.k, &ws));
           metric = static_cast<double>(dm);
           break;
         }
@@ -303,21 +288,18 @@ Result<OlaResult> OlaSearch(const Table& initial_microdata,
       if (first || metric < result.optimal_metric) {
         result.optimal = node;
         result.optimal_metric = metric;
-        winner = std::move(candidate);
         first = false;
       }
     }
   }
-  if (!winner.has_value()) {
+  {
     TraceSpan span(trace, "materialize");
-    span.Attr("path",
-              evaluator.encoded_table() != nullptr ? "encoded" : "legacy");
-    Result<MaskedMicrodata> mm = evaluator.Materialize(result.optimal);
-    if (!mm.ok()) return sweeper.PropagateHardError(mm.status());
-    winner = std::move(*mm);
+    span.Attr("path", "encoded");
+    Result<MaskedMicrodata> winner = evaluator.Materialize(result.optimal);
+    if (!winner.ok()) return sweeper.PropagateHardError(winner.status());
+    result.masked = std::move(winner->table);
+    result.suppressed = winner->suppressed;
   }
-  result.masked = std::move(winner->table);
-  result.suppressed = winner->suppressed;
   result.found = true;
   result.stats = sweeper.MergedStats();
   return result;

@@ -126,8 +126,7 @@ Result<SearchResult> SamaratiSearch(const Table& initial_microdata,
 
   if (best.has_value()) {
     TraceSpan phase(options.trace, "materialize");
-    phase.Attr("path",
-               evaluator.encoded_table() != nullptr ? "encoded" : "legacy");
+    phase.Attr("path", "encoded");
     Result<MaskedMicrodata> mm = evaluator.Materialize(*best);
     if (!mm.ok()) return sweeper.PropagateHardError(mm.status());
     result.found = true;

@@ -186,17 +186,6 @@ struct SearchOptions {
   /// — this knob only moves the speed/overhead trade-off. Tests lower it
   /// to force slicing on small fixtures.
   size_t min_rows_per_slice = 1024;
-  /// Evaluate lattice nodes through the dictionary-encoded core
-  /// (EncodedTable): grouping and distinct-confidential counting run over
-  /// dense integer codes, and no generalized Table is materialized per
-  /// node — the winning release is decoded exactly once at the end. The
-  /// legacy Value pipeline is kept as the oracle: verdicts, SearchStats
-  /// and the release are identical on both paths (the equivalence suite
-  /// asserts this), so this switch only trades speed. When encoding fails
-  /// (a QI value that does not generalize at some level), the evaluator
-  /// silently falls back to the legacy path, which reproduces the same
-  /// error lazily if the offending level is actually reached.
-  bool use_encoded_core = true;
   /// Externally owned verdict cache. When set, NodeSweeper shares this
   /// cache across its workers instead of creating a private one — the
   /// seam a scheduler uses to keep a handle on a job's cache so it can
@@ -269,11 +258,6 @@ struct SearchStats {
   /// Node requests that consulted the VerdictCache and missed (0 when no
   /// cache is attached). With a cache, hits + misses = requests through it.
   size_t nodes_cache_misses = 0;
-  /// Fresh evaluations split by which body ran — the dictionary-encoded
-  /// core vs the legacy Value pipeline. Their sum is the number of fresh
-  /// (non-replay, non-cache) evaluations.
-  size_t nodes_evaluated_encoded = 0;
-  size_t nodes_evaluated_legacy = 0;
   /// Budget-free fast-forwards (snapshot replays, cache re-serves, engine
   /// fact fast-forwards) counted by TickReplay — how much already-known
   /// work the run skipped.
@@ -299,8 +283,6 @@ struct SearchStats {
     nodes_skipped += other.nodes_skipped;
     nodes_cache_hits += other.nodes_cache_hits;
     nodes_cache_misses += other.nodes_cache_misses;
-    nodes_evaluated_encoded += other.nodes_evaluated_encoded;
-    nodes_evaluated_legacy += other.nodes_evaluated_legacy;
     replay_ticks += other.replay_ticks;
     heights_probed += other.heights_probed;
     subset_nodes_evaluated += other.subset_nodes_evaluated;
@@ -329,7 +311,10 @@ void RecordStatsCounters(RunTrace* trace, const SearchStats& stats);
 /// Evaluates lattice nodes against a fixed initial microdata: generalize,
 /// suppress up to TS, then test p-sensitive k-anonymity, with Condition 1
 /// checked once up front and Condition 2 applied per node (Theorems 1-2
-/// justify computing both bounds on the initial microdata only).
+/// justify computing both bounds on the initial microdata only). Every
+/// evaluation runs on the dictionary-encoded core (EncodedTable): grouping
+/// and the distinct-confidential scan work over dense integer codes, and
+/// no generalized Table is materialized per node.
 ///
 /// All searches in this library share this component so that their work
 /// counters are comparable.
@@ -339,9 +324,12 @@ class NodeEvaluator {
   NodeEvaluator(const Table& initial_microdata,
                 const HierarchySet& hierarchies, SearchOptions options);
 
-  /// Computes the Condition 1/2 bounds from the initial microdata. Must be
-  /// called before Evaluate. Fails when the schema lacks key or
-  /// confidential attributes (confidential required only when p >= 2).
+  /// Encodes the initial microdata (unless a table was shared) and
+  /// computes the Condition 1/2 bounds. Must be called before Evaluate.
+  /// Fails when the schema lacks key or confidential attributes
+  /// (confidential required only when p >= 2), and with EncodedTable::
+  /// Build's own status when the table cannot be encoded (a QI value some
+  /// hierarchy does not generalize).
   Status Init();
 
   /// Shares a budget accountant across evaluators (the threaded exhaustive
@@ -369,20 +357,17 @@ class NodeEvaluator {
 
   /// Shares a prebuilt encoded table across evaluators (NodeSweeper
   /// encodes once and hands the same immutable EncodedTable to every
-  /// worker). Must be called before Init. Passing nullptr pins this
-  /// evaluator to the legacy Value path (Init will not encode on its own
-  /// then — the owner already decided).
+  /// worker). Must be called before Init; without it, Init builds one.
   void set_encoded_table(std::shared_ptr<const EncodedTable> encoded) {
     encoded_ = std::move(encoded);
-    encoded_external_ = true;
   }
-  /// The encoded core this evaluator runs on; null on the legacy path.
+  /// The encoded core this evaluator runs on (valid after Init).
   const std::shared_ptr<const EncodedTable>& encoded_table() const {
     return encoded_;
   }
 
   /// Attaches run tracing: every completed Evaluate records one TraceEvent
-  /// (node key, path taken, verdict stage) into `buffer`, and checkpoint
+  /// (node key, how it was resolved, verdict stage) into `buffer`, and checkpoint
   /// flushes open "checkpoint_io" spans on `trace`. The buffer is
   /// per-worker and written without locks — the owner (NodeSweeper or the
   /// engine) merges it into `trace` at span boundaries. Both pointers must
@@ -394,7 +379,7 @@ class NodeEvaluator {
   RunTrace* trace() const { return trace_; }
 
   /// Caps the intra-node row parallelism (fine decomposition axis) of
-  /// encoded evaluations: each group-by may fan out over up to `cap` pool
+  /// evaluations: each group-by may fan out over up to `cap` pool
   /// lanes via GroupByCodesSliced, subject to the fair share at call time
   /// and options().min_rows_per_slice. MUST stay 1 (the default) on any
   /// evaluator whose Evaluate runs inside a ThreadPool task — a nested
@@ -452,8 +437,9 @@ class NodeEvaluator {
   /// The accumulated crash-recovery state (empty unless checkpointing).
   const SearchSnapshot& snapshot() const { return snapshot_; }
 
-  /// Produces the masked microdata (generalized + suppressed) for a node —
-  /// used to materialize the winning node once a search finishes.
+  /// Decodes the masked microdata (generalized + suppressed) for a node
+  /// from the encoded core — used to materialize the winning node once a
+  /// search finishes. Byte-identical to Mask().
   Result<MaskedMicrodata> Materialize(const LatticeNode& node) const;
 
   const SearchStats& stats() const { return stats_; }
@@ -462,15 +448,12 @@ class NodeEvaluator {
   const SearchOptions& options() const { return options_; }
 
  private:
-  /// The charged evaluation bodies behind Evaluate (cache/checkpoint
-  /// handling lives in Evaluate itself). The encoded body is
-  /// counter-for-counter and verdict-for-verdict identical to the legacy
-  /// one; the legacy body is kept as the oracle.
+  /// The charged evaluation body behind Evaluate (cache/checkpoint
+  /// handling lives in Evaluate itself).
   Result<NodeEvaluation> EvaluateEncoded(const LatticeNode& node);
-  Result<NodeEvaluation> EvaluateLegacy(const LatticeNode& node);
 
   /// Records one per-node trace event into trace_buffer_ (caller checked
-  /// it is non-null). `path` is "encoded"/"legacy"/"cache"/"replay".
+  /// it is non-null). `path` is "encoded"/"cache"/"replay".
   void RecordEvalEvent(const std::string& key, const char* path,
                        const NodeEvaluation& eval, int64_t start_ns);
 
@@ -480,9 +463,7 @@ class NodeEvaluator {
   std::shared_ptr<BudgetEnforcer> enforcer_;
   std::shared_ptr<VerdictCache> cache_;
   std::shared_ptr<const EncodedTable> encoded_;
-  /// True once set_encoded_table decided the path (even with nullptr).
-  bool encoded_external_ = false;
-  /// Per-evaluator scratch for the encoded path (never shared).
+  /// Per-evaluator scratch (never shared).
   EncodedWorkspace ws_;
   EncodedDistinctScratch distinct_scratch_;
   /// Upper bound on row workers per group-by; resolved to the pool's fair
@@ -541,7 +522,8 @@ class NodeSweeper {
   NodeSweeper(const Table& initial_microdata, const HierarchySet& hierarchies,
               SearchOptions options);
 
-  /// Builds and initializes the workers. Fails like NodeEvaluator::Init.
+  /// Encodes the table once, then builds and initializes the workers.
+  /// Fails like NodeEvaluator::Init.
   Status Init();
 
   /// Worker 0 — the evaluator carrying checkpoint state and engine-level
@@ -637,8 +619,7 @@ struct MinimalSetResult {
   std::vector<LatticeNode> satisfying_nodes;
   SearchStats stats;
   /// The encoded core the node verdicts ran on, for decoding the picked
-  /// node without encoding the table again; null when the search ran on
-  /// the legacy Value path (use_encoded_core off, or the build failed).
+  /// node without encoding the table again.
   std::shared_ptr<const EncodedTable> encoded;
 };
 

@@ -38,19 +38,15 @@ Status FillScorecard(const ReleaseGroups& groups, size_t total_rows, size_t k,
   return Status::OK();
 }
 
-// Decodes the release at `node` once, for the stages whose engine hands
-// back a node rather than a release: on `encoded` when the stage ran on
-// the encoded core, else with the legacy Mask (byte-identical either way).
-Result<MaskedMicrodata> DecodeNode(const Table& im,
-                                   const HierarchySet& hierarchies,
-                                   const EncodedTable* encoded,
+// Decodes the release at `node` once on `encoded`, for the stages whose
+// engine hands back a node rather than a release.
+Result<MaskedMicrodata> DecodeNode(const EncodedTable& encoded,
                                    const LatticeNode& node, size_t k,
                                    RunTrace* trace) {
   TraceSpan span(trace, "materialize");
-  span.Attr("path", encoded != nullptr ? "encoded" : "legacy");
-  if (encoded == nullptr) return Mask(im, hierarchies, node, k);
+  span.Attr("path", "encoded");
   EncodedWorkspace ws;
-  return DecodeMasked(*encoded, node, k, &ws);
+  return DecodeMasked(encoded, node, k, &ws);
 }
 
 // Among a set of minimal nodes, prefer the lowest height, then
@@ -142,19 +138,12 @@ Result<AnonymizationReport> RunStage(
   GeneralizationLattice lattice(*hierarchies);
 
   if (algorithm == AnonymizationAlgorithm::kFullSuppression) {
-    // Last resort: mask at the lattice top. O(n), budget-exempt. The
-    // guaranteed release must not depend on the encoded core: when it
-    // cannot be built (a refused allocation), mask on the Value path.
+    // Last resort: mask at the lattice top. O(n), budget-exempt.
     LatticeNode top = lattice.Top();
-    std::optional<EncodedTable> encoded;
-    if (base_options.use_encoded_core) {
-      Result<EncodedTable> built = EncodedTable::Build(im, *hierarchies);
-      if (built.ok()) encoded = std::move(*built);
-    }
-    PSK_ASSIGN_OR_RETURN(
-        MaskedMicrodata mm,
-        DecodeNode(im, *hierarchies, encoded ? &*encoded : nullptr, top,
-                   base_options.k, trace));
+    PSK_ASSIGN_OR_RETURN(EncodedTable encoded,
+                         EncodedTable::Build(im, *hierarchies));
+    PSK_ASSIGN_OR_RETURN(MaskedMicrodata mm,
+                         DecodeNode(encoded, top, base_options.k, trace));
     report.masked = std::move(mm.table);
     report.node = top;
     report.suppressed = mm.suppressed;
@@ -168,7 +157,7 @@ Result<AnonymizationReport> RunStage(
   std::optional<LatticeNode> node;
   // Samarati and OLA decode their node themselves; the release they hand
   // back is the stage's release. The minimal-set engines hand back the
-  // encoded core their verdicts ran on (null on the legacy path).
+  // encoded core their verdicts ran on.
   bool decoded = false;
   std::shared_ptr<const EncodedTable> encoded;
   SearchStats stats;
@@ -261,8 +250,7 @@ Result<AnonymizationReport> RunStage(
 
   if (!decoded) {
     PSK_ASSIGN_OR_RETURN(MaskedMicrodata mm,
-                         DecodeNode(im, *hierarchies, encoded.get(), *node,
-                                    base_options.k, trace));
+                         DecodeNode(*encoded, *node, base_options.k, trace));
     report.masked = std::move(mm.table);
     report.suppressed = mm.suppressed;
   }
@@ -386,7 +374,6 @@ Result<AnonymizationReport> Anonymizer::RunImpl(RunTrace* trace) const {
   base_options.p = p_;
   base_options.max_suppression = max_suppression_;
   base_options.use_conditions = use_conditions_;
-  base_options.use_encoded_core = use_encoded_core_;
   base_options.threads = threads_;
   base_options.min_rows_per_slice = min_rows_per_slice_;
   base_options.verdict_cache = verdict_cache_;

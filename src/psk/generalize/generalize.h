@@ -66,7 +66,7 @@ struct EncodedMaskResult {
 /// Code-path counterpart of Mask()'s grouping + suppression: partitions
 /// the encoded rows at `node` and computes the keep mask for groups of
 /// size >= k, without constructing a single Value. `ws` is the caller's
-/// reusable workspace. Counts agree exactly with the legacy pipeline.
+/// reusable workspace. Counts agree exactly with Mask().
 Result<EncodedMaskResult> MaskEncoded(const EncodedTable& encoded,
                                       const LatticeNode& node, size_t k,
                                       EncodedWorkspace* ws);

@@ -73,8 +73,7 @@ Result<std::vector<std::string>> ParseRecord(std::string_view text,
 }
 
 /// Matches a parsed header against the schema: file column j maps to
-/// schema attribute result[j]. Shared by the eager and streaming readers
-/// so both reject the same malformed headers with the same messages.
+/// schema attribute result[j].
 Result<std::vector<size_t>> MapHeader(const std::vector<std::string>& header,
                                       const Schema& schema) {
   std::vector<size_t> file_to_schema;
@@ -120,69 +119,6 @@ std::string QuoteField(const std::string& field) {
   return out;
 }
 
-/// Legacy eager reader — the whole text parsed row-by-row into the table
-/// in one pass. Kept verbatim as the equivalence oracle for the chunked
-/// streaming path (CsvOptions::chunk_rows == 0 selects it).
-Result<Table> ReadCsvStringEager(std::string_view text, const Schema& schema,
-                                 const CsvOptions& options) {
-  size_t pos = 0;
-  size_t line = 1;
-  size_t consumed = 0;
-  // Column j of the file maps to schema attribute file_to_schema[j].
-  std::vector<size_t> file_to_schema;
-  if (options.has_header) {
-    if (pos >= text.size()) {
-      return Status::InvalidArgument("CSV is empty but a header was expected");
-    }
-    PSK_ASSIGN_OR_RETURN(
-        std::vector<std::string> header,
-        ParseRecord(text, &pos, options.separator, line, &consumed));
-    PSK_ASSIGN_OR_RETURN(file_to_schema, MapHeader(header, schema));
-    line += consumed;
-  } else {
-    for (size_t i = 0; i < schema.num_attributes(); ++i) {
-      file_to_schema.push_back(i);
-    }
-  }
-
-  Table table(schema);
-  while (pos < text.size()) {
-    // Skip blank lines (common at end of file).
-    if (text[pos] == '\n') {
-      ++pos;
-      ++line;
-      continue;
-    }
-    if (text[pos] == '\r') {
-      ++pos;
-      continue;
-    }
-    PSK_ASSIGN_OR_RETURN(
-        std::vector<std::string> fields,
-        ParseRecord(text, &pos, options.separator, line, &consumed));
-    if (fields.size() != file_to_schema.size()) {
-      return Status::InvalidArgument(
-          "CSV line " + std::to_string(line) + " has " +
-          std::to_string(fields.size()) + " fields; expected " +
-          std::to_string(file_to_schema.size()));
-    }
-    std::vector<Value> row(schema.num_attributes());
-    for (size_t j = 0; j < fields.size(); ++j) {
-      size_t attr = file_to_schema[j];
-      auto value = Value::Parse(fields[j], schema.attribute(attr).type);
-      if (!value.ok()) {
-        return Status::InvalidArgument(
-            "CSV line " + std::to_string(line) + ", column '" +
-            schema.attribute(attr).name + "': " + value.status().message());
-      }
-      row[attr] = std::move(value).value();
-    }
-    PSK_RETURN_IF_ERROR(table.AppendRow(std::move(row)));
-    line += consumed > 0 ? consumed : 1;
-  }
-  return table;
-}
-
 /// Streams every chunk of `reader` into a fresh table. When `budget` is
 /// set, the growing table (id columns + interned store) stays reserved
 /// against it for the duration of the read — a transient ingest meter;
@@ -204,6 +140,14 @@ Result<Table> DrainReader(CsvChunkReader reader, const Schema& schema,
     }
   }
   return table;
+}
+
+/// A zero chunk size would read no rows and return an empty table.
+Status CheckChunkRows(const CsvOptions& options) {
+  if (options.chunk_rows == 0) {
+    return Status::InvalidArgument("CsvOptions::chunk_rows must be >= 1");
+  }
+  return Status::OK();
 }
 
 }  // namespace
@@ -356,9 +300,7 @@ Result<size_t> CsvChunkReader::NextChunk(size_t max_rows, IngestChunk* chunk) {
 
 Result<Table> ReadCsvString(std::string_view text, const Schema& schema,
                             const CsvOptions& options) {
-  if (options.chunk_rows == 0) {
-    return ReadCsvStringEager(text, schema, options);
-  }
+  PSK_RETURN_IF_ERROR(CheckChunkRows(options));
   PSK_ASSIGN_OR_RETURN(CsvChunkReader reader,
                        CsvChunkReader::OpenString(text, schema, options));
   return DrainReader(std::move(reader), schema, options);
@@ -366,18 +308,7 @@ Result<Table> ReadCsvString(std::string_view text, const Schema& schema,
 
 Result<Table> ReadCsvFile(const std::string& path, const Schema& schema,
                           const CsvOptions& options) {
-  if (options.chunk_rows == 0) {
-    // Legacy eager oracle: slurp the file, then parse — text and table
-    // co-resident.
-    std::ifstream in(path, std::ios::binary);
-    if (!in) {
-      return Status::IOError("cannot open file for reading: " + path);
-    }
-    std::ostringstream buffer;
-    buffer << in.rdbuf();
-    std::string text = buffer.str();
-    return ReadCsvStringEager(text, schema, options);
-  }
+  PSK_RETURN_IF_ERROR(CheckChunkRows(options));
   PSK_ASSIGN_OR_RETURN(CsvChunkReader reader,
                        CsvChunkReader::OpenFile(path, schema, options));
   return DrainReader(std::move(reader), schema, options);

@@ -18,11 +18,9 @@ struct CsvOptions {
   /// When true, the first line must list the attribute names in schema
   /// order (any order is accepted; columns are matched by name).
   bool has_header = true;
-  /// Rows per ingest chunk for the streaming readers. 0 selects the
-  /// legacy eager path (whole text parsed row-by-row in one pass) — kept
-  /// as the equivalence oracle for the chunked path, the same migration
-  /// contract the encoded core used (SearchOptions::use_encoded_core).
-  /// The two paths produce byte-identical tables.
+  /// Rows per ingest chunk for ReadCsvString / ReadCsvFile; must be >= 1
+  /// (0 is rejected with InvalidArgument). The table read is the same at
+  /// every chunk size.
   size_t chunk_rows = 64 * 1024;
   /// When set, ingest memory is metered against this budget: the reader's
   /// I/O buffer and in-flight chunk, plus the growing table (id columns +
@@ -47,8 +45,9 @@ struct CsvOptions {
 ///     PSK_RETURN_IF_ERROR(table.AppendChunk(&chunk));
 ///   }
 ///
-/// Parsing semantics (quoting, header matching, error line numbers, null
-/// handling) are identical to the eager ReadCsvString path.
+/// ReadCsvString and ReadCsvFile are this reader drained into a table, so
+/// parsing semantics (quoting, header matching, error line numbers, null
+/// handling) are the same for every entry point.
 class CsvChunkReader {
  public:
   /// Opens a CSV file; the header (when configured) is parsed eagerly so
@@ -68,8 +67,8 @@ class CsvChunkReader {
 
   /// Parses up to `max_rows` records into `chunk` (reshaped for the
   /// schema; previous contents dropped). Returns the number of rows
-  /// produced; 0 means end of input. Fails with the same line-accurate
-  /// InvalidArgument errors as the eager reader, or kResourceExhausted
+  /// produced; 0 means end of input. Fails with line-accurate
+  /// InvalidArgument errors on malformed records, or kResourceExhausted
   /// when the configured ingest budget refuses the buffers.
   Result<size_t> NextChunk(size_t max_rows, IngestChunk* chunk);
 
@@ -105,8 +104,7 @@ class CsvChunkReader {
 /// become null. With a header, columns may appear in any order but every
 /// schema attribute must be present. Quoted fields ("a, b" with embedded
 /// separators, doubled quotes for literal quotes) are supported. Streams
-/// through IngestChunks of options.chunk_rows rows (0 = legacy eager
-/// path; identical output).
+/// through IngestChunks of options.chunk_rows rows.
 Result<Table> ReadCsvString(std::string_view text, const Schema& schema,
                             const CsvOptions& options = {});
 

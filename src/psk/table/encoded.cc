@@ -9,8 +9,9 @@
 namespace psk {
 Result<EncodedTable> EncodedTable::Build(const Table& initial_microdata,
                                          const HierarchySet& hierarchies) {
-  // Torture seam: a failed Build makes every lattice engine fall back to
-  // the legacy Value pipeline, which must produce identical releases.
+  // Torture seam: a failed Build fails the lattice engine's stage (its
+  // sweeper or evaluator Init returns this status) and the decode of
+  // kFullSuppression, so the fallback chain moves on or the run fails.
   PSK_FAIL_POINT("table.encoded.build");
   std::vector<size_t> key_cols = initial_microdata.schema().KeyIndices();
   if (hierarchies.size() != key_cols.size()) {
@@ -45,7 +46,7 @@ Result<EncodedTable> EncodedTable::Build(const Table& initial_microdata,
       ancestor.resize(kc.cardinality);
       values.reserve(kc.cardinality);
       // Level codes deduplicate by Value equality — the equality the
-      // legacy path groups by — numbered in ground-code (= first
+      // Value-keyed testers group by — numbered in ground-code (= first
       // occurrence) order.
       std::unordered_map<Value, uint32_t, ValueHash> level_dict;
       level_dict.reserve(kc.cardinality);
@@ -101,7 +102,7 @@ Status EncodedTable::GroupByNode(const LatticeNode& node,
                                  EncodedWorkspace* ws) const {
   if (node.levels.size() != keys_.size()) {
     // Same contract (and message) as ApplyGeneralization, so the encoded
-    // and legacy paths reject malformed nodes identically.
+    // and Value paths reject malformed nodes identically.
     return Status::InvalidArgument(
         "lattice node has " + std::to_string(node.levels.size()) +
         " levels but the schema has " + std::to_string(keys_.size()) +
@@ -179,7 +180,7 @@ Result<Table> EncodedTable::Decode(const LatticeNode& node,
 
   // Output schema: identifiers dropped, key columns generalized above
   // level 0 re-typed to string — mirroring ApplyGeneralization so the
-  // decoded release is byte-identical to the legacy pipeline's.
+  // decoded release is byte-identical to Mask()'s.
   std::vector<Attribute> out_attrs;
   std::vector<size_t> src_cols;
   std::vector<int> key_slot_of_out;  // -1 = pass-through column

@@ -1,6 +1,8 @@
 #include "psk/table/value_store.h"
 
+#include <algorithm>
 #include <cmath>
+#include <memory>
 
 #include "psk/common/check.h"
 
@@ -81,12 +83,37 @@ bool ValueStore::Shard::DerefEq::operator()(const Value* a,
   return TypedEqual(*a, *b);
 }
 
+const Value* ValueStore::Shard::AppendLocked(const Value& value) {
+  int block = BlockOf(static_cast<uint32_t>(num_slots));
+  Value* base = blocks[block].load(std::memory_order_relaxed);
+  if (base == nullptr) {
+    base = std::allocator<Value>().allocate(BlockSlots(block));
+    blocks[block].store(base, std::memory_order_release);
+  }
+  Value* stored = std::construct_at(base + (num_slots - BlockStart(block)),
+                                    value);
+  ++num_slots;
+  return stored;
+}
+
 ValueStore::ValueStore() {
   // Slot 0 of shard 0 is the null sentinel, so kNullId works in every
   // store without interning.
   Shard& hot = shards_[0];
-  hot.slots.emplace_back();
-  hot.index.emplace(&hot.slots.back(), 0);
+  hot.index.emplace(hot.AppendLocked(Value()), 0);
+}
+
+ValueStore::~ValueStore() {
+  for (Shard& shard : shards_) {
+    for (int block = 0; block < static_cast<int>(kNumBlocks); ++block) {
+      Value* base = shard.blocks[block].load(std::memory_order_relaxed);
+      if (base == nullptr) break;
+      size_t used = std::min(BlockSlots(block),
+                             shard.num_slots - BlockStart(block));
+      std::destroy_n(base, used);
+      std::allocator<Value>().deallocate(base, BlockSlots(block));
+    }
+  }
 }
 
 ValueId ValueStore::InternInShard(Shard* shard, ValueId base, size_t cap,
@@ -94,12 +121,11 @@ ValueId ValueStore::InternInShard(Shard* shard, ValueId base, size_t cap,
   std::lock_guard<std::mutex> lock(shard->mutex);
   auto it = shard->index.find(&value);
   if (it != shard->index.end()) return base | it->second;
-  size_t offset = shard->slots.size();
+  size_t offset = shard->num_slots;
   if (offset >= cap) {
     return kHotShardFull;  // only reachable with cap == kHotShardSlots
   }
-  shard->slots.push_back(value);
-  const Value* stored = &shard->slots.back();
+  const Value* stored = shard->AppendLocked(value);
   shard->payload_bytes += StringPayloadBytes(*stored);
   shard->index.emplace(stored, static_cast<uint32_t>(offset));
   return base | static_cast<uint32_t>(offset);
@@ -127,7 +153,7 @@ size_t ValueStore::size() const {
   size_t total = 0;
   for (const Shard& shard : shards_) {
     std::lock_guard<std::mutex> lock(shard.mutex);
-    total += shard.slots.size();
+    total += shard.num_slots;
   }
   return total;
 }
@@ -141,7 +167,7 @@ size_t ValueStore::ApproxBytes() const {
   size_t total = 0;
   for (const Shard& shard : shards_) {
     std::lock_guard<std::mutex> lock(shard.mutex);
-    total += shard.slots.size() * sizeof(Value) + shard.payload_bytes;
+    total += shard.num_slots * sizeof(Value) + shard.payload_bytes;
     total += shard.index.size() * kIndexNodeBytes +
              shard.index.bucket_count() * sizeof(void*);
   }

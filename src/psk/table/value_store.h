@@ -1,8 +1,9 @@
 #ifndef PSK_TABLE_VALUE_STORE_H_
 #define PSK_TABLE_VALUE_STORE_H_
 
+#include <atomic>
+#include <bit>
 #include <cstdint>
-#include <deque>
 #include <mutex>
 #include <unordered_map>
 
@@ -19,7 +20,7 @@ using ValueId = uint32_t;
 /// Every distinct cell value of a table lives here exactly once; cells are
 /// 32-bit ValueIds into the store. Interning is thread-safe and designed
 /// for parallel ingest: the store is split into kNumShards shards, each
-/// with its own mutex, slot deque and lookup index, so concurrent
+/// with its own mutex, slot blocks and lookup index, so concurrent
 /// Intern() calls on different shards never contend. Shard 0 is the
 /// *hot shard*: nulls, numbers and short strings — the values that
 /// dominate real microdata — are interned there first (capped at
@@ -33,8 +34,9 @@ using ValueId = uint32_t;
 ///    back with exactly the dynamic type it was written with; doubles
 ///    compare by value, merging 0.0 and -0.0).
 ///  - Id stability: an id, once returned, refers to the same Value for
-///    the lifetime of the store. Slots live in per-shard deques, so
-///    Get() references are never invalidated by later interning.
+///    the lifetime of the store. Slots live in per-shard blocks that never
+///    move, so Get() references are never invalidated by later interning,
+///    and Get() may run concurrently with Intern() without a lock.
 ///  - Id 0 is the null value in every store.
 ///
 /// Ids are assignment-order dependent: parallel ingest may assign
@@ -55,6 +57,7 @@ class ValueStore {
   static constexpr ValueId kNullId = 0;
 
   ValueStore();
+  ~ValueStore();
 
   ValueStore(const ValueStore&) = delete;
   ValueStore& operator=(const ValueStore&) = delete;
@@ -66,28 +69,52 @@ class ValueStore {
   ValueId Intern(const Value& value);
 
   /// The interned value for `id`; the reference is stable for the life of
-  /// the store. `id` must have been returned by this store's Intern.
+  /// the store. `id` must have been returned by this store's Intern (on
+  /// this thread, or handed over with a happens-before edge). Lock-free
+  /// and O(1): safe while other threads intern.
   const Value& Get(ValueId id) const {
     const Shard& shard = shards_[id >> kSlotBits];
-    return shard.slots[id & (kMaxShardSlots - 1)];
+    uint32_t slot = id & (kMaxShardSlots - 1);
+    int block = BlockOf(slot);
+    return shard.blocks[block].load(std::memory_order_acquire)
+        [slot - BlockStart(block)];
   }
 
   /// Distinct values interned so far (the null sentinel included).
   size_t size() const;
 
-  /// Approximate heap footprint: slot deques, string payloads, and the
+  /// Approximate heap footprint: used slots, string payloads, and the
   /// per-shard lookup indexes. The ingest-side MemoryBudget charge seam
   /// (satellite of the scheduler's degradation ladder): a table's
   /// sustained ingest memory is its id columns plus this.
   size_t ApproxBytes() const;
 
  private:
+  /// Slot storage is a fixed table of geometric blocks per shard: block b
+  /// holds kFirstBlockSlots << b slots, so kNumBlocks blocks cover all
+  /// kMaxShardSlots. A slot's block and offset are pure arithmetic on its
+  /// index, and a block, once published, never moves or shrinks.
+  static constexpr int kFirstBlockBits = 4;
+  static constexpr size_t kNumBlocks = kSlotBits - kFirstBlockBits + 1;
+  static int BlockOf(uint32_t slot) {
+    return std::bit_width((slot >> kFirstBlockBits) + 1u) - 1;
+  }
+  static size_t BlockStart(int block) {
+    return ((size_t{1} << block) - 1) << kFirstBlockBits;
+  }
+  static size_t BlockSlots(int block) {
+    return size_t{1} << (block + kFirstBlockBits);
+  }
+
   struct Shard {
     mutable std::mutex mutex;
-    /// Slot storage; deque so Get() references survive growth.
-    std::deque<Value> slots;
-    /// Interning index over the slots. Keys point into `slots` (stable),
-    /// so no Value is duplicated between index and storage.
+    /// Block table. Blocks are allocated under `mutex` and published with
+    /// a release store, so Get() reads them lock-free (acquire).
+    std::atomic<Value*> blocks[kNumBlocks] = {};
+    /// Slots in use (guarded by `mutex`).
+    size_t num_slots = 0;
+    /// Interning index over the slots. Keys point into the blocks
+    /// (stable), so no Value is duplicated between index and storage.
     struct DerefHash {
       size_t operator()(const Value* v) const;
     };
@@ -97,6 +124,9 @@ class ValueStore {
     std::unordered_map<const Value*, uint32_t, DerefHash, DerefEq> index;
     /// String payload bytes interned into this shard (for ApproxBytes).
     size_t payload_bytes = 0;
+
+    /// Copies `value` into the next slot (caller holds `mutex`).
+    const Value* AppendLocked(const Value& value);
   };
 
   /// Interns into one shard under its lock; `base` is the shard's id

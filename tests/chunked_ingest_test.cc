@@ -1,12 +1,15 @@
 // Equivalence suite for streaming chunked ingest: a table ingested in
-// chunks — any chunk size — must be byte-identical to the legacy eager
-// path (CsvOptions::chunk_rows == 0, kept as the oracle), and every
-// downstream consumer (all seven engines through Anonymizer, the guard,
-// SearchStats) must be unable to tell the difference.
+// chunks — any chunk size, from a string or a file — must be
+// byte-identical to the oracle, one OpenString read of every row in a
+// single NextChunk (the same record parser with no chunk or file-block
+// boundaries), and every downstream consumer (all seven engines through
+// Anonymizer, the guard, SearchStats) must be unable to tell the
+// difference.
 
 #include <gtest/gtest.h>
 
 #include <cstdio>
+#include <limits>
 #include <memory>
 #include <string>
 #include <vector>
@@ -49,6 +52,20 @@ struct Fixture {
         csv(WriteCsvString(table)) {}
 };
 
+// The oracle: every row of `text` parsed by one NextChunk over an
+// in-memory source.
+Result<Table> ReadAllRowsAtOnce(std::string_view text, const Schema& schema) {
+  PSK_ASSIGN_OR_RETURN(CsvChunkReader reader,
+                       CsvChunkReader::OpenString(text, schema));
+  Table table(schema);
+  IngestChunk chunk;
+  PSK_ASSIGN_OR_RETURN(
+      size_t rows,
+      reader.NextChunk(std::numeric_limits<size_t>::max(), &chunk));
+  if (rows > 0) PSK_RETURN_IF_ERROR(table.AppendChunk(&chunk));
+  return table;
+}
+
 // The chunk sizes of the equivalence matrix: degenerate (1), prime and
 // unaligned (7), the default-ish power of two (1024), and one chunk
 // covering the whole table.
@@ -59,10 +76,8 @@ const size_t kChunkSizes[] = {1, 7, 1024, size_t{1} << 30};
 
 TEST(ChunkedIngestTest, ChunkedCsvMatchesEagerOracleByteForByte) {
   Fixture fixture;
-  CsvOptions eager;
-  eager.chunk_rows = 0;  // the oracle
-  Table oracle = UnwrapOk(ReadCsvString(fixture.csv, fixture.table.schema(),
-                                        eager));
+  Table oracle =
+      UnwrapOk(ReadAllRowsAtOnce(fixture.csv, fixture.table.schema()));
   EXPECT_EQ(WriteCsvString(oracle), fixture.csv);
   for (size_t chunk_rows : kChunkSizes) {
     CsvOptions chunked;
@@ -79,12 +94,14 @@ TEST(ChunkedIngestTest, FileAndStringSourcesAgree) {
   Fixture fixture(200, 3);
   std::string path = testing::TempDir() + "/chunked_ingest_src.csv";
   ASSERT_TRUE(WriteCsvFile(fixture.table, path).ok());
+  Table oracle =
+      UnwrapOk(ReadAllRowsAtOnce(fixture.csv, fixture.table.schema()));
   for (size_t chunk_rows : kChunkSizes) {
     CsvOptions options;
     options.chunk_rows = chunk_rows;
     Table from_file =
         UnwrapOk(ReadCsvFile(path, fixture.table.schema(), options));
-    EXPECT_EQ(WriteCsvString(from_file), fixture.csv)
+    EXPECT_EQ(WriteCsvString(from_file), WriteCsvString(oracle))
         << "chunk_rows=" << chunk_rows;
   }
   std::remove(path.c_str());
@@ -92,25 +109,58 @@ TEST(ChunkedIngestTest, FileAndStringSourcesAgree) {
 
 TEST(ChunkedIngestTest, ErrorLinesMatchTheEagerOracle) {
   Fixture fixture(20, 4);
-  // Corrupt one record so both paths must fail with the same line number.
-  std::string bad = fixture.csv;
-  size_t cut = bad.find('\n', bad.find('\n') + 1);  // after first data row
+  ASSERT_EQ(fixture.table.schema().num_attributes(), 8u);
+  // After the header and the first data row, i.e. on line 3: a ragged
+  // record, and (separately) an Age that is not an integer.
+  size_t cut = fixture.csv.find('\n', fixture.csv.find('\n') + 1);
   ASSERT_NE(cut, std::string::npos);
-  bad.insert(cut + 1, "this,row,is,hopelessly,short\n");
-  CsvOptions eager;
-  eager.chunk_rows = 0;
-  Result<Table> oracle =
-      ReadCsvString(bad, fixture.table.schema(), eager);
-  ASSERT_FALSE(oracle.ok());
-  for (size_t chunk_rows : kChunkSizes) {
-    CsvOptions chunked;
-    chunked.chunk_rows = chunk_rows;
-    Result<Table> got = ReadCsvString(bad, fixture.table.schema(), chunked);
-    ASSERT_FALSE(got.ok()) << "chunk_rows=" << chunk_rows;
-    EXPECT_EQ(got.status().code(), oracle.status().code());
-    EXPECT_EQ(got.status().message(), oracle.status().message())
-        << "chunk_rows=" << chunk_rows;
+  std::string ragged = fixture.csv;
+  ragged.insert(cut + 1, "this,row,is,hopelessly,short\n");
+  std::string bad_age = fixture.csv;
+  bad_age.insert(cut + 1, "old,,,,,,,\n");
+  struct Case {
+    const std::string* text;
+    const char* message;
+  };
+  const Case cases[] = {
+      {&ragged, "CSV line 3 has 5 fields; expected 8"},
+      {&bad_age,
+       "CSV line 3, column 'Age': trailing characters in integer: 'old'"},
+  };
+  for (const Case& c : cases) {
+    Result<Table> oracle = ReadAllRowsAtOnce(*c.text, fixture.table.schema());
+    ASSERT_FALSE(oracle.ok());
+    EXPECT_EQ(oracle.status().code(), StatusCode::kInvalidArgument);
+    EXPECT_EQ(oracle.status().message(), c.message);
+    for (size_t chunk_rows : kChunkSizes) {
+      CsvOptions chunked;
+      chunked.chunk_rows = chunk_rows;
+      Result<Table> got =
+          ReadCsvString(*c.text, fixture.table.schema(), chunked);
+      ASSERT_FALSE(got.ok()) << "chunk_rows=" << chunk_rows;
+      EXPECT_EQ(got.status().code(), StatusCode::kInvalidArgument);
+      EXPECT_EQ(got.status().message(), c.message)
+          << "chunk_rows=" << chunk_rows;
+    }
   }
+}
+
+// A zero chunk size would read nothing; both readers refuse it up front.
+TEST(ChunkedIngestTest, ZeroChunkRowsIsRejected) {
+  Fixture fixture(20, 5);
+  CsvOptions options;
+  options.chunk_rows = 0;
+  Result<Table> from_string =
+      ReadCsvString(fixture.csv, fixture.table.schema(), options);
+  ASSERT_FALSE(from_string.ok());
+  EXPECT_EQ(from_string.status().code(), StatusCode::kInvalidArgument);
+  std::string path = testing::TempDir() + "/chunked_ingest_zero.csv";
+  ASSERT_TRUE(WriteCsvFile(fixture.table, path).ok());
+  Result<Table> from_file = ReadCsvFile(path, fixture.table.schema(), options);
+  ASSERT_FALSE(from_file.ok());
+  EXPECT_EQ(from_file.status().code(), StatusCode::kInvalidArgument);
+  EXPECT_EQ(from_file.status().message(), from_string.status().message());
+  std::remove(path.c_str());
 }
 
 // ---------------------------------------------------------------------------
@@ -129,10 +179,8 @@ TEST(ChunkedIngestTest, AllEnginesMatchEagerAcrossChunkSizes) {
     return UnwrapOk(anonymizer.Run());
   };
 
-  CsvOptions eager;
-  eager.chunk_rows = 0;
-  Table oracle_table = UnwrapOk(
-      ReadCsvString(fixture.csv, fixture.table.schema(), eager));
+  Table oracle_table =
+      UnwrapOk(ReadAllRowsAtOnce(fixture.csv, fixture.table.schema()));
 
   for (auto algorithm :
        {AnonymizationAlgorithm::kSamarati, AnonymizationAlgorithm::kIncognito,
@@ -140,7 +188,7 @@ TEST(ChunkedIngestTest, AllEnginesMatchEagerAcrossChunkSizes) {
         AnonymizationAlgorithm::kExhaustive, AnonymizationAlgorithm::kMondrian,
         AnonymizationAlgorithm::kGreedyCluster,
         AnonymizationAlgorithm::kOla}) {
-    AnonymizationReport legacy = run(oracle_table, algorithm);
+    AnonymizationReport want = run(oracle_table, algorithm);
     for (size_t chunk_rows : kChunkSizes) {
       std::string what =
           "algorithm=" + std::to_string(static_cast<int>(algorithm)) +
@@ -150,20 +198,20 @@ TEST(ChunkedIngestTest, AllEnginesMatchEagerAcrossChunkSizes) {
       Table input = UnwrapOk(
           ReadCsvString(fixture.csv, fixture.table.schema(), chunked));
       AnonymizationReport got = run(input, algorithm);
-      EXPECT_EQ(WriteCsvString(got.masked), WriteCsvString(legacy.masked))
+      EXPECT_EQ(WriteCsvString(got.masked), WriteCsvString(want.masked))
           << what;
-      EXPECT_EQ(got.node, legacy.node) << what;
-      EXPECT_EQ(got.suppressed, legacy.suppressed) << what;
-      EXPECT_EQ(got.achieved_k, legacy.achieved_k) << what;
-      EXPECT_EQ(got.achieved_p, legacy.achieved_p) << what;
-      EXPECT_EQ(got.precision, legacy.precision) << what;
-      EXPECT_EQ(got.discernibility, legacy.discernibility) << what;
-      EXPECT_EQ(got.algorithm_used, legacy.algorithm_used) << what;
-      EXPECT_EQ(got.guard.passed, legacy.guard.passed) << what;
-      EXPECT_EQ(got.guard.observed_k, legacy.guard.observed_k) << what;
-      EXPECT_EQ(got.guard.observed_p, legacy.guard.observed_p) << what;
-      EXPECT_EQ(got.guard.suppressed, legacy.guard.suppressed) << what;
-      ExpectStatsEq(got.stats, legacy.stats, what);
+      EXPECT_EQ(got.node, want.node) << what;
+      EXPECT_EQ(got.suppressed, want.suppressed) << what;
+      EXPECT_EQ(got.achieved_k, want.achieved_k) << what;
+      EXPECT_EQ(got.achieved_p, want.achieved_p) << what;
+      EXPECT_EQ(got.precision, want.precision) << what;
+      EXPECT_EQ(got.discernibility, want.discernibility) << what;
+      EXPECT_EQ(got.algorithm_used, want.algorithm_used) << what;
+      EXPECT_EQ(got.guard.passed, want.guard.passed) << what;
+      EXPECT_EQ(got.guard.observed_k, want.guard.observed_k) << what;
+      EXPECT_EQ(got.guard.observed_p, want.guard.observed_p) << what;
+      EXPECT_EQ(got.guard.suppressed, want.guard.suppressed) << what;
+      ExpectStatsEq(got.stats, want.stats, what);
     }
   }
 }

@@ -388,8 +388,8 @@ Anonymizer MakeArmedAnonymizer(AnonymizationAlgorithm algorithm,
 }
 
 void EngineRunsCleanUnderInjectedErrors(AnonymizationAlgorithm algorithm) {
-  // Reference run, no faults: the bytes the encoded-build class must
-  // reproduce through the legacy pipeline.
+  // Reference run, no faults: the bytes the encoded-build class must leave
+  // untouched for the engines that never encode.
   FailPoints::DisarmAll();
   AdultData clean = MakeAdult(120);
   AnonymizationReport unfaulted =
@@ -426,32 +426,50 @@ void EngineRunsCleanUnderInjectedErrors(AnonymizationAlgorithm algorithm) {
               std::string::npos);
   }
 
-  // Class 3: the dictionary-encoded fast path refuses to build. Lattice
-  // engines silently fall back to the legacy Value pipeline and must
-  // produce the identical release; engines that never build an encoded
-  // table are simply untouched.
+  // Class 3: the dictionary-encoded core refuses to build, once. Every
+  // lattice engine builds it in its Init, so the primary stage fails with
+  // the injected (continuable) error and the chain releases full
+  // suppression, whose own build then succeeds. Engines that never build
+  // an encoded table are untouched.
+  const bool lattice = algorithm != AnonymizationAlgorithm::kMondrian &&
+                       algorithm != AnonymizationAlgorithm::kGreedyCluster;
   {
+    SCOPED_TRACE("table.encoded.build x1");
+    FailPoints::DisarmAll();
+    PSK_ASSERT_OK(FailPoints::ArmFromSpec(
+        "table.encoded.build=error(ResourceExhausted)x1"));
+    AdultData data = MakeAdult(120);
+    AnonymizationReport report =
+        UnwrapOk(MakeArmedAnonymizer(algorithm, &data).Run());
+    EXPECT_TRUE(report.guard.passed) << report.guard.Summary();
+    if (lattice) {
+      EXPECT_EQ(report.algorithm_used,
+                AnonymizationAlgorithm::kFullSuppression);
+      EXPECT_EQ(report.fallback_stage, 1u);
+    } else {
+      EXPECT_EQ(report.algorithm_used, unfaulted.algorithm_used);
+      EXPECT_EQ(WriteCsvString(report.masked),
+                WriteCsvString(unfaulted.masked));
+    }
+  }
+
+  // Armed permanently, full suppression cannot encode either: the run
+  // fails with the injected status, and the message leads with the
+  // primary stage's root cause.
+  if (lattice) {
     SCOPED_TRACE("table.encoded.build");
     FailPoints::DisarmAll();
     PSK_ASSERT_OK(FailPoints::ArmFromSpec(
         "table.encoded.build=error(ResourceExhausted)"));
     AdultData data = MakeAdult(120);
-    AnonymizationReport report =
-        UnwrapOk(MakeArmedAnonymizer(algorithm, &data).Run());
-    EXPECT_TRUE(report.guard.passed) << report.guard.Summary();
-    if (algorithm != AnonymizationAlgorithm::kIncognito) {
-      // The engine degraded to the legacy Value pipeline, which must
-      // release identical bytes.
-      EXPECT_EQ(report.algorithm_used, unfaulted.algorithm_used);
-      EXPECT_EQ(WriteCsvString(report.masked),
-                WriteCsvString(unfaulted.masked));
-    } else {
-      // An engine with a hard encoded-core dependency (Incognito's
-      // subset phase) fails its stage with the continuable injected
-      // error and the chain degrades to full suppression instead.
-      EXPECT_EQ(report.algorithm_used,
-                AnonymizationAlgorithm::kFullSuppression);
-    }
+    auto report = MakeArmedAnonymizer(algorithm, &data).Run();
+    ASSERT_FALSE(report.ok());
+    EXPECT_EQ(report.status().code(), StatusCode::kResourceExhausted);
+    const std::string message = report.status().message();
+    size_t root = message.find("failpoint 'table.encoded.build' injected");
+    size_t context = message.find("fallback fullsuppression (stage 1) failed");
+    ASSERT_EQ(root, 0u) << message;
+    ASSERT_NE(context, std::string::npos) << message;
   }
   FailPoints::DisarmAll();
 }
@@ -506,6 +524,40 @@ TEST(ArmedEngineTest, FallbackChainPreservesTheRootCause) {
   ASSERT_NE(root, std::string::npos) << message;
   ASSERT_NE(context, std::string::npos) << message;
   EXPECT_LT(root, context) << "root cause must lead: " << message;
+}
+
+// A hierarchy that does not cover an observed key value fails the search
+// at Init, when the table is encoded, with that hierarchy's own status —
+// on the sweeper engines and on the bare-evaluator bottom-up walk alike.
+TEST(EncodedBuildFaultTest, UncoveredValueFailsInitWithTheHierarchyStatus) {
+  Schema schema = UnwrapOk(Schema::Create(
+      {{"Color", ValueType::kString, AttributeRole::kKey},
+       {"Illness", ValueType::kString, AttributeRole::kConfidential}}));
+  Table table(schema);
+  for (const char* color : {"red", "blue", "green", "red", "blue"}) {
+    PSK_ASSERT_OK(table.AppendRow({Value(color), Value("flu")}));
+  }
+  TaxonomyHierarchy::Builder builder("Color", /*num_levels=*/2);
+  builder.AddValue("red", {"*"});
+  builder.AddValue("blue", {"*"});
+  std::shared_ptr<const AttributeHierarchy> color = UnwrapOk(builder.Build());
+  HierarchySet hierarchies = UnwrapOk(HierarchySet::Create(schema, {color}));
+  Status expected = color->Generalize(Value("green"), 1).status();
+  ASSERT_EQ(expected.code(), StatusCode::kNotFound);
+
+  for (size_t threads : {size_t{1}, size_t{2}}) {
+    SearchOptions options;
+    options.k = 2;
+    options.threads = threads;
+    Result<MinimalSetResult> exhaustive =
+        ExhaustiveSearch(table, hierarchies, options);
+    ASSERT_FALSE(exhaustive.ok()) << "threads=" << threads;
+    EXPECT_EQ(exhaustive.status(), expected) << "threads=" << threads;
+    Result<MinimalSetResult> bottom_up =
+        BottomUpSearch(table, hierarchies, options);
+    ASSERT_FALSE(bottom_up.ok()) << "threads=" << threads;
+    EXPECT_EQ(bottom_up.status(), expected) << "threads=" << threads;
+  }
 }
 
 TEST(FallbackFaultTest, CancellationAbortsTheWholeChain) {

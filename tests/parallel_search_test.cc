@@ -1,11 +1,10 @@
 #include <gtest/gtest.h>
 
-#include <memory>
-#include <utility>
 #include <vector>
 
 #include "psk/algorithms/exhaustive.h"
 #include "psk/algorithms/incognito.h"
+#include "psk/common/failpoint.h"
 #include "psk/datagen/adult.h"
 #include "psk/datagen/synthetic.h"
 #include "psk/perturb/perturb.h"
@@ -13,30 +12,6 @@
 
 namespace psk {
 namespace {
-
-// Wraps a hierarchy and fails Generalize at one level with a hard
-// (non-budget) error, simulating a corrupt hierarchy discovered mid-sweep.
-class PoisonedHierarchy : public AttributeHierarchy {
- public:
-  PoisonedHierarchy(std::shared_ptr<const AttributeHierarchy> base,
-                    int poison_level)
-      : base_(std::move(base)), poison_level_(poison_level) {}
-
-  const std::string& attribute_name() const override {
-    return base_->attribute_name();
-  }
-  int num_levels() const override { return base_->num_levels(); }
-  Result<Value> Generalize(const Value& value, int level) const override {
-    if (level == poison_level_) {
-      return Status::InvalidArgument("injected hierarchy fault");
-    }
-    return base_->Generalize(value, level);
-  }
-
- private:
-  std::shared_ptr<const AttributeHierarchy> base_;
-  int poison_level_;
-};
 
 // Regression: a hard error in one shard used to return before that shard's
 // stats were populated, and the merge step dropped the other shards'
@@ -46,25 +21,20 @@ TEST(ShardStatLossRegressionTest, CountersSurviveHardError) {
   SyntheticSpec spec = MakeUniformSpec(120, 3, 4, 1, 3, 0.6);
   SyntheticData data = UnwrapOk(SyntheticGenerate(spec, 7));
 
-  std::vector<std::shared_ptr<const AttributeHierarchy>> hs;
-  for (size_t i = 0; i < data.hierarchies.size(); ++i) {
-    hs.push_back(data.hierarchies.hierarchy_ptr(i));
-  }
-  // Poison attribute 0's top level: every node below it evaluates fine, so
-  // the sweep does real work before the fault hits mid-sweep.
-  hs[0] = std::make_shared<PoisonedHierarchy>(hs[0],
-                                              hs[0]->num_levels() - 1);
-  HierarchySet poisoned =
-      UnwrapOk(HierarchySet::Create(data.table.schema(), std::move(hs)));
-
   for (size_t threads : {size_t{1}, size_t{4}}) {
+    // Let the first node evaluations through, so the sweep does real work
+    // before a hard (non-budget) error hits mid-sweep.
+    FailPoints::DisarmAll();
+    PSK_ASSERT_OK(FailPoints::ArmFromSpec(
+        "algorithms.node.evaluate=error(InvalidArgument)@8"));
     SearchStats failure;
     SearchOptions options;
     options.k = 2;
     options.threads = threads;
     options.failure_stats = &failure;
     Result<MinimalSetResult> result =
-        ExhaustiveSearch(data.table, poisoned, options);
+        ExhaustiveSearch(data.table, data.hierarchies, options);
+    FailPoints::DisarmAll();
     ASSERT_FALSE(result.ok()) << "threads=" << threads;
     EXPECT_EQ(result.status().code(), StatusCode::kInvalidArgument)
         << "threads=" << threads;

@@ -217,10 +217,6 @@ TEST(TraceIntegrationTest, StageCountersEqualSearchStats) {
             stats.nodes_cache_hits);
   EXPECT_EQ(trace->TotalCounter("nodes_cache_misses"),
             stats.nodes_cache_misses);
-  EXPECT_EQ(trace->TotalCounter("nodes_evaluated_encoded"),
-            stats.nodes_evaluated_encoded);
-  EXPECT_EQ(trace->TotalCounter("nodes_evaluated_legacy"),
-            stats.nodes_evaluated_legacy);
   EXPECT_EQ(trace->TotalCounter("replay_ticks"), stats.replay_ticks);
   EXPECT_EQ(trace->TotalCounter("heights_probed"), stats.heights_probed);
   EXPECT_EQ(trace->TotalCounter("subset_nodes_evaluated"),
@@ -348,30 +344,6 @@ TEST(TraceIntegrationTest, OneDecodeAndOneGroupIndexPerRun) {
         EXPECT_GT(index, scorecard);
       }
     }
-  }
-}
-
-// With the encoded core off, every lattice engine evaluates and decodes
-// on the legacy path, and the trace says so.
-TEST(TraceIntegrationTest, LegacyPathIsLabeled) {
-  AdultFixture fixture(150, 2);
-  for (AnonymizationAlgorithm algorithm :
-       {AnonymizationAlgorithm::kSamarati,
-        AnonymizationAlgorithm::kExhaustive,
-        AnonymizationAlgorithm::kIncognito,
-        AnonymizationAlgorithm::kBottomUp, AnonymizationAlgorithm::kOla}) {
-    Anonymizer anonymizer = fixture.MakeAnonymizer();
-    anonymizer.set_k(2).set_p(2).set_max_suppression(4).set_use_encoded_core(
-        false);
-    anonymizer.set_algorithm(algorithm);
-    anonymizer.set_trace_enabled(true);
-    AnonymizationReport report = UnwrapOk(anonymizer.Run());
-    EXPECT_EQ(report.algorithm_used, algorithm);
-    EXPECT_EQ(report.stats.nodes_evaluated_encoded, 0u);
-    std::string signature = anonymizer.last_trace()->StructureSignature();
-    SCOPED_TRACE(signature);
-    EXPECT_NE(signature.find("path=legacy"), std::string::npos);
-    EXPECT_EQ(signature.find("path=encoded"), std::string::npos);
   }
 }
 
