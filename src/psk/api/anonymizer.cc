@@ -1,6 +1,7 @@
 #include "psk/api/anonymizer.h"
 
 #include <algorithm>
+#include <chrono>
 #include <memory>
 #include <optional>
 #include <unordered_map>
@@ -263,6 +264,20 @@ Result<AnonymizationReport> RunStage(
 
 }  // namespace
 
+Status Anonymizer::Ingest(IngestChunk* chunk) {
+  auto start = std::chrono::steady_clock::now();
+  size_t rows = chunk->num_rows();
+  PSK_RETURN_IF_ERROR(initial_microdata_.AppendChunk(chunk));
+  Status charged = ChargeInputFootprint();
+  ingested_.chunks += 1;
+  ingested_.rows += rows;
+  ingested_.wall_ns += static_cast<uint64_t>(
+      std::chrono::duration_cast<std::chrono::nanoseconds>(
+          std::chrono::steady_clock::now() - start)
+          .count());
+  return charged;
+}
+
 Result<AnonymizationReport> Anonymizer::Run() const {
   std::shared_ptr<RunTrace> trace;
   if (trace_enabled_ || !trace_sink_path_.empty()) {
@@ -321,6 +336,16 @@ Result<AnonymizationReport> Anonymizer::RunImpl(RunTrace* trace) const {
     trace->Counter("p", p_);
     trace->Counter("max_suppression", max_suppression_);
     trace->Timing("threads", threads_);
+    if (ingested_.chunks > 0) {
+      // Ingest ran before Run; its totals become one leaf span (the span
+      // itself is instant, wall_ns carries the time). Chunks and rows
+      // depend on the input alone, so the structure stays the same at
+      // every thread count.
+      TraceSpan span(trace, "ingest");
+      span.Counter("chunks", ingested_.chunks);
+      span.Counter("rows", ingested_.rows);
+      span.Timing("wall_ns", ingested_.wall_ns);
+    }
   }
 
   // Lattice stages need one hierarchy per key attribute. Accept them in

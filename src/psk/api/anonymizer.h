@@ -120,11 +120,9 @@ class Anonymizer {
   /// input table's current footprint is (re)charged against it, so a
   /// scheduler sees ingest memory the same way it sees cache and encode
   /// memory — and an over-quota ingest fails here with kResourceExhausted
-  /// instead of at Run.
-  Status Ingest(IngestChunk* chunk) {
-    PSK_RETURN_IF_ERROR(initial_microdata_.AppendChunk(chunk));
-    return ChargeInputFootprint();
-  }
+  /// instead of at Run. The chunks, rows and wall time of all Ingest
+  /// calls are reported by a traced Run as its `ingest` span.
+  Status Ingest(IngestChunk* chunk);
 
   /// Rows ingested so far (== num_rows of the table handed to Run).
   size_t num_ingested_rows() const { return initial_microdata_.num_rows(); }
@@ -317,6 +315,13 @@ class Anonymizer {
   }
 
   Table initial_microdata_;
+  /// Totals of the Ingest calls, for the run trace's `ingest` span.
+  struct IngestTally {
+    uint64_t chunks = 0;
+    uint64_t rows = 0;
+    uint64_t wall_ns = 0;
+  };
+  IngestTally ingested_;
   /// Holds the input table's bytes against budget_.memory across the
   /// ingest loop and Run (see ChargeInputFootprint). Makes Anonymizer
   /// move-only, which every current caller already satisfies. Mutable for

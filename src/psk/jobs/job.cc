@@ -214,6 +214,9 @@ Status MaterializeJobInput(JobSpec* spec,
               : growth.Resize(spec->input.ApproxBytes()));
     }
   }
+  // AppendChunk grows the id columns geometrically; the job holds its
+  // input for the whole run, so drop the slack once.
+  spec->input.ShrinkToFit();
   spec->input_source = nullptr;
   return Status::OK();
 }

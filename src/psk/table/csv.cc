@@ -15,62 +15,9 @@ namespace {
 /// size.
 constexpr size_t kReadBlockBytes = 256 * 1024;
 
-/// Nominal in-memory cost of one parsed chunk cell (same stable-accounting
-/// convention as EncodedTable::ApproxBytes).
-constexpr size_t kChunkCellBytes = sizeof(Value) + 16;
-
-// Splits one logical CSV record into fields, honoring quotes. `pos` points
-// at the start of the record and is advanced past its trailing newline.
-// `start_line` (1-based) is where this record begins; `lines_consumed`
-// receives the number of newlines swallowed, counting those embedded in
-// quoted fields, so callers can keep reported line numbers accurate.
-Result<std::vector<std::string>> ParseRecord(std::string_view text,
-                                             size_t* pos, char sep,
-                                             size_t start_line,
-                                             size_t* lines_consumed) {
-  std::vector<std::string> fields;
-  std::string field;
-  bool in_quotes = false;
-  *lines_consumed = 0;
-  size_t i = *pos;
-  for (; i < text.size(); ++i) {
-    char c = text[i];
-    if (in_quotes) {
-      if (c == '"') {
-        if (i + 1 < text.size() && text[i + 1] == '"') {
-          field.push_back('"');
-          ++i;
-        } else {
-          in_quotes = false;
-        }
-      } else {
-        if (c == '\n') ++*lines_consumed;
-        field.push_back(c);
-      }
-    } else if (c == '"') {
-      in_quotes = true;
-    } else if (c == sep) {
-      fields.push_back(std::move(field));
-      field.clear();
-    } else if (c == '\n') {
-      ++*lines_consumed;
-      ++i;
-      break;
-    } else if (c == '\r') {
-      // Swallow; \r\n handled by the \n branch next iteration.
-    } else {
-      field.push_back(c);
-    }
-  }
-  if (in_quotes) {
-    return Status::InvalidArgument(
-        "unterminated quoted field in CSV record starting at line " +
-        std::to_string(start_line));
-  }
-  fields.push_back(std::move(field));
-  *pos = i;
-  return fields;
-}
+/// Rows of a chunk after which a column's text memo is judged: one that
+/// missed on more than half of them is switched off for the chunk.
+constexpr size_t kMemoProbeRows = 1024;
 
 /// Matches a parsed header against the schema: file column j maps to
 /// schema attribute result[j].
@@ -153,7 +100,9 @@ Status CheckChunkRows(const CsvOptions& options) {
 }  // namespace
 
 CsvChunkReader::CsvChunkReader(const Schema& schema, CsvOptions options)
-    : schema_(&schema), options_(std::move(options)) {}
+    : schema_(&schema),
+      options_(std::move(options)),
+      memos_(schema.num_attributes()) {}
 
 Result<CsvChunkReader> CsvChunkReader::OpenFile(const std::string& path,
                                                 const Schema& schema,
@@ -236,27 +185,119 @@ Status CsvChunkReader::ParseHeader() {
     return Status::InvalidArgument("CSV is empty but a header was expected");
   }
   size_t consumed = 0;
-  PSK_ASSIGN_OR_RETURN(std::vector<std::string> header,
-                       ParseRecord(buffer_view_, &pos_, options_.separator,
-                                   line_, &consumed));
+  PSK_RETURN_IF_ERROR(TokenizeRecord(&consumed));
+  std::vector<std::string> header;
+  for (const FieldSpan& field : fields_) {
+    header.emplace_back(FieldText(field));
+  }
   PSK_ASSIGN_OR_RETURN(file_to_schema_, MapHeader(header, *schema_));
   line_ += consumed;
   return Status::OK();
 }
 
-Status CsvChunkReader::ChargeBuffers(size_t chunk_cells) {
+Status CsvChunkReader::ChargeBuffers(size_t chunk_bytes) {
   if (options_.ingest_budget == nullptr) return Status::OK();
-  return ingest_reservation_.Reserve(
-      options_.ingest_budget,
-      buffer_.capacity() + chunk_cells * kChunkCellBytes);
+  return ingest_reservation_.Reserve(options_.ingest_budget,
+                                     buffer_.capacity() + chunk_bytes);
+}
+
+Status CsvChunkReader::TokenizeRecord(size_t* lines_consumed) {
+  std::string_view text = buffer_view_;
+  const char sep = options_.separator;
+  fields_.clear();
+  *lines_consumed = 0;
+  size_t begin = pos_;
+  size_t i = pos_;
+  bool escaped = false;
+  bool in_quotes = false;
+  bool at_newline = false;
+  for (; i < text.size(); ++i) {
+    char c = text[i];
+    if (in_quotes) {
+      if (c == '"') {
+        if (i + 1 < text.size() && text[i + 1] == '"') {
+          ++i;
+        } else {
+          in_quotes = false;
+        }
+      } else if (c == '\n') {
+        ++*lines_consumed;
+      }
+    } else if (c == '"') {
+      in_quotes = true;
+      escaped = true;
+    } else if (c == sep) {
+      fields_.push_back({begin, i, escaped});
+      begin = i + 1;
+      escaped = false;
+    } else if (c == '\n') {
+      ++*lines_consumed;
+      at_newline = true;
+      break;
+    } else if (c == '\r') {
+      // Dropped by FieldText; \r\n ends the record at the \n.
+      escaped = true;
+    }
+  }
+  if (in_quotes) {
+    return Status::InvalidArgument(
+        "unterminated quoted field in CSV record starting at line " +
+        std::to_string(line_));
+  }
+  fields_.push_back({begin, i, escaped});
+  pos_ = at_newline ? i + 1 : i;
+  return Status::OK();
+}
+
+std::string_view CsvChunkReader::FieldText(const FieldSpan& f) {
+  std::string_view raw = buffer_view_.substr(f.begin, f.end - f.begin);
+  if (!f.escaped) return raw;
+  // Undo the quoting TokenizeRecord honored: quotes delimit, a doubled
+  // quote inside them is one literal quote, and an unquoted \r is dropped.
+  scratch_.clear();
+  bool in_quotes = false;
+  for (size_t i = 0; i < raw.size(); ++i) {
+    char c = raw[i];
+    if (in_quotes) {
+      if (c != '"') {
+        scratch_.push_back(c);
+      } else if (i + 1 < raw.size() && raw[i + 1] == '"') {
+        scratch_.push_back('"');
+        ++i;
+      } else {
+        in_quotes = false;
+      }
+    } else if (c == '"') {
+      in_quotes = true;
+    } else if (c != '\r') {
+      scratch_.push_back(c);
+    }
+  }
+  return scratch_;
 }
 
 Result<size_t> CsvChunkReader::NextChunk(size_t max_rows, IngestChunk* chunk) {
   chunk->Reset(*schema_, std::min(max_rows, size_t{64} * 1024));
   if (max_rows == 0) return size_t{0};
+  // Codes index this chunk's entries, so the memos start empty per chunk.
+  for (FieldMemo& memo : memos_) {
+    memo.entries.clear();
+    memo.enabled = true;
+  }
   size_t rows = 0;
   size_t consumed = 0;
   while (rows < max_rows) {
+    if (rows == kMemoProbeRows) {
+      // A column whose probe rows were mostly distinct (an id, free text)
+      // would pay a memo insert per cell for nothing: from here on its
+      // cells get entries of their own, as push_back producers' do.
+      for (FieldMemo& memo : memos_) {
+        if (memo.entries.size() > kMemoProbeRows / 2) {
+          memo.enabled = false;
+          memo.entries.clear();
+        }
+      }
+    }
     PSK_ASSIGN_OR_RETURN(bool have, FillRecord());
     if (!have) break;
     char c = buffer_view_[pos_];
@@ -270,31 +311,46 @@ Result<size_t> CsvChunkReader::NextChunk(size_t max_rows, IngestChunk* chunk) {
       ++pos_;
       continue;
     }
-    PSK_ASSIGN_OR_RETURN(std::vector<std::string> fields,
-                         ParseRecord(buffer_view_, &pos_, options_.separator,
-                                     line_, &consumed));
-    if (fields.size() != file_to_schema_.size()) {
+    PSK_RETURN_IF_ERROR(TokenizeRecord(&consumed));
+    // The whole record's shape is checked before any field resolves, so a
+    // ragged record reports its field count, never a field's parse error.
+    if (fields_.size() != file_to_schema_.size()) {
       return Status::InvalidArgument(
           "CSV line " + std::to_string(line_) + " has " +
-          std::to_string(fields.size()) + " fields; expected " +
+          std::to_string(fields_.size()) + " fields; expected " +
           std::to_string(file_to_schema_.size()));
     }
-    for (size_t j = 0; j < fields.size(); ++j) {
+    for (size_t j = 0; j < fields_.size(); ++j) {
       size_t attr = file_to_schema_[j];
-      auto value = Value::Parse(fields[j], schema_->attribute(attr).type);
+      std::string_view text = FieldText(fields_[j]);
+      IngestColumn& column = chunk->columns[attr];
+      FieldMemo& memo = memos_[attr];
+      if (memo.enabled) {
+        auto hit = memo.entries.find(text);
+        if (hit != memo.entries.end()) {
+          column.push_code(hit->second);
+          continue;
+        }
+      }
+      auto value = Value::Parse(text, schema_->attribute(attr).type);
       if (!value.ok()) {
         return Status::InvalidArgument(
             "CSV line " + std::to_string(line_) + ", column '" +
             schema_->attribute(attr).name + "': " + value.status().message());
       }
-      chunk->columns[attr].push_back(std::move(value).value());
+      // A NaN equals nothing, not even itself: each NaN cell keeps an
+      // entry (and so a store id) of its own.
+      if (memo.enabled && *value == *value) {
+        memo.entries.emplace(text,
+                             static_cast<uint32_t>(column.values().size()));
+      }
+      column.push_back(std::move(value).value());
     }
     line_ += consumed > 0 ? consumed : 1;
     ++rows;
   }
   rows_read_ += rows;
-  PSK_RETURN_IF_ERROR(
-      ChargeBuffers(rows * schema_->num_attributes()));
+  PSK_RETURN_IF_ERROR(ChargeBuffers(chunk->ApproxBytes()));
   return rows;
 }
 

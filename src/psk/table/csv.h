@@ -2,9 +2,12 @@
 #define PSK_TABLE_CSV_H_
 
 #include <fstream>
+#include <functional>
 #include <memory>
 #include <string>
 #include <string_view>
+#include <unordered_map>
+#include <vector>
 
 #include "psk/common/memory_budget.h"
 #include "psk/common/result.h"
@@ -48,6 +51,12 @@ struct CsvOptions {
 /// ReadCsvString and ReadCsvFile are this reader drained into a table, so
 /// parsing semantics (quoting, header matching, error line numbers, null
 /// handling) are the same for every entry point.
+///
+/// Chunks come out dictionary-coded (see IngestColumn): each column keeps
+/// a per-chunk memo from unquoted field text to entry, so Value::Parse
+/// runs once per distinct text of a chunk and a repeated text costs one
+/// hash lookup. Parse errors are unchanged — a text that fails to parse
+/// is never memoized, so its first occurrence fails as before.
 class CsvChunkReader {
  public:
   /// Opens a CSV file; the header (when configured) is parsed eagerly so
@@ -84,6 +93,40 @@ class CsvChunkReader {
   Status ParseHeader();
   Status ChargeBuffers(size_t chunk_bytes);
 
+  /// One field of the record in fields_: its raw bytes [begin, end) in
+  /// buffer_view_, and whether they hold quotes or a carriage return that
+  /// FieldText must strip.
+  struct FieldSpan {
+    size_t begin;
+    size_t end;
+    bool escaped;
+  };
+  /// Splits the record at pos_ into fields_ (quotes honored: separators
+  /// and newlines inside quotes are data) and advances pos_ past its
+  /// newline. `lines_consumed` receives the newlines swallowed, embedded
+  /// ones included, so reported line numbers stay accurate.
+  Status TokenizeRecord(size_t* lines_consumed);
+  /// The unquoted text of field `f`: a view into buffer_view_ for a plain
+  /// field, else the field unescaped into scratch_ (valid until the next
+  /// call).
+  std::string_view FieldText(const FieldSpan& f);
+
+  /// Heterogeneous string hash, so the memo is probed with string_views.
+  struct TextHash {
+    using is_transparent = void;
+    size_t operator()(std::string_view text) const noexcept {
+      return std::hash<std::string_view>()(text);
+    }
+  };
+  /// Unquoted field text -> entry code, for one column of one chunk.
+  /// `enabled` turns off for the rest of the chunk when the column
+  /// proves mostly distinct (see NextChunk).
+  struct FieldMemo {
+    std::unordered_map<std::string, uint32_t, TextHash, std::equal_to<>>
+        entries;
+    bool enabled = true;
+  };
+
   const Schema* schema_;
   CsvOptions options_;
   /// File source (null for string sources); buffer_ holds the unconsumed
@@ -95,6 +138,10 @@ class CsvChunkReader {
   size_t line_ = 1;
   bool source_exhausted_ = false;
   std::vector<size_t> file_to_schema_;
+  std::vector<FieldSpan> fields_;
+  std::string scratch_;
+  /// One memo per schema attribute, emptied at every NextChunk.
+  std::vector<FieldMemo> memos_;
   size_t rows_read_ = 0;
   MemoryReservation ingest_reservation_;
 };

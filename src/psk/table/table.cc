@@ -24,6 +24,16 @@ void IngestChunk::Clear() {
   for (auto& column : columns) column.clear();
 }
 
+size_t IngestChunk::ApproxBytes() const {
+  constexpr size_t kEntryBytes = sizeof(Value) + 16;
+  size_t bytes = 0;
+  for (const IngestColumn& column : columns) {
+    bytes += column.size() * sizeof(uint32_t) +
+             column.values().size() * kEntryBytes;
+  }
+  return bytes;
+}
+
 Table::Table(Schema schema)
     : schema_(std::move(schema)), store_(std::make_shared<ValueStore>()) {
   columns_.resize(schema_.num_attributes());
@@ -60,6 +70,10 @@ void Table::ReserveRows(size_t additional_rows) {
   for (auto& column : columns_) {
     column.reserve(num_rows_ + additional_rows);
   }
+}
+
+void Table::ShrinkToFit() {
+  for (auto& column : columns_) column.shrink_to_fit();
 }
 
 Status Table::AppendRow(std::vector<Value> row) {
@@ -110,13 +124,23 @@ Status Table::AppendChunk(IngestChunk* chunk) {
           std::to_string(rows));
     }
   }
+  // Grow by at least half, so a run of small chunks reallocates the id
+  // columns O(log rows) times rather than once per chunk.
+  size_t needed = num_rows_ + rows;
+  std::vector<ValueId> entry_ids;
   for (size_t c = 0; c < chunk->columns.size(); ++c) {
     std::vector<ValueId>& ids = columns_[c];
-    ids.reserve(num_rows_ + rows);
-    for (const Value& v : chunk->columns[c]) {
-      PSK_DCHECK(v.is_null() || v.type() == chunk->types[c]);
-      ids.push_back(store_->Intern(v));
+    if (needed > ids.capacity()) {
+      ids.reserve(std::max(needed, ids.capacity() + ids.capacity() / 2));
     }
+    const IngestColumn& column = chunk->columns[c];
+    const std::vector<Value>& entries = column.values();
+    entry_ids.resize(entries.size());
+    for (size_t e = 0; e < entries.size(); ++e) {
+      PSK_DCHECK(entries[e].is_null() || entries[e].type() == chunk->types[c]);
+      entry_ids[e] = store_->Intern(entries[e]);
+    }
+    for (uint32_t code : column.codes()) ids.push_back(entry_ids[code]);
   }
   num_rows_ += rows;
   chunk->Clear();

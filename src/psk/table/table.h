@@ -1,9 +1,11 @@
 #ifndef PSK_TABLE_TABLE_H_
 #define PSK_TABLE_TABLE_H_
 
+#include <cstddef>
 #include <cstdint>
 #include <memory>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "psk/common/result.h"
@@ -13,28 +15,101 @@
 
 namespace psk {
 
+/// One column of an IngestChunk, dictionary-coded: the entries (Values) a
+/// producer resolved, plus one uint32 code per row naming its entry.
+///
+/// push_back appends a fresh entry and a row pointing at it — no dedup,
+/// so a cell-at-a-time producer costs what a std::vector<Value> did.
+/// A producer that knows a cell repeats an earlier one (the CSV reader's
+/// per-column text memo) appends only the code with push_code, and
+/// Table::AppendChunk then interns each entry once instead of each cell.
+/// Reads (operator[], iteration) yield the row's `const Value&`.
+class IngestColumn {
+ public:
+  class iterator {
+   public:
+    using value_type = Value;
+    using reference = const Value&;
+    using difference_type = std::ptrdiff_t;
+    iterator(const Value* values, const uint32_t* code)
+        : values_(values), code_(code) {}
+    const Value& operator*() const { return values_[*code_]; }
+    iterator& operator++() {
+      ++code_;
+      return *this;
+    }
+    bool operator==(const iterator& o) const { return code_ == o.code_; }
+    bool operator!=(const iterator& o) const { return code_ != o.code_; }
+
+   private:
+    const Value* values_;
+    const uint32_t* code_;
+  };
+
+  void push_back(const Value& value) {
+    codes_.push_back(static_cast<uint32_t>(values_.size()));
+    values_.push_back(value);
+  }
+  void push_back(Value&& value) {
+    codes_.push_back(static_cast<uint32_t>(values_.size()));
+    values_.push_back(std::move(value));
+  }
+  /// Appends a row repeating entry `code` (< values().size()).
+  void push_code(uint32_t code) { codes_.push_back(code); }
+
+  /// Rows in the column.
+  size_t size() const { return codes_.size(); }
+  /// Reserves `rows` codes. Entries grow on demand: a memoizing producer
+  /// holds far fewer of them than rows.
+  void reserve(size_t rows) { codes_.reserve(rows); }
+  /// Drops rows and entries, keeping both buffers for refill.
+  void clear() {
+    codes_.clear();
+    values_.clear();
+  }
+
+  const Value& operator[](size_t row) const { return values_[codes_[row]]; }
+  iterator begin() const { return iterator(values_.data(), codes_.data()); }
+  iterator end() const {
+    return iterator(values_.data(), codes_.data() + codes_.size());
+  }
+
+  /// The entries, in the order they were appended.
+  const std::vector<Value>& values() const { return values_; }
+  /// One entry index per row.
+  const std::vector<uint32_t>& codes() const { return codes_; }
+
+ private:
+  std::vector<uint32_t> codes_;
+  std::vector<Value> values_;
+};
+
 /// One columnar batch of rows in flight between a streaming producer (CSV
 /// chunk reader, synthetic generator) and Table::AppendChunk. The chunk
 /// carries a per-column element type tag set by the producer; AppendChunk
 /// validates the tag against the schema once per column, trusting the
 /// producer that every cell is null or of the tagged type (re-checked per
-/// cell only in debug builds) — the per-cell type branch was the ingest
+/// entry only in debug builds) — the per-cell type branch was the ingest
 /// hot-loop cost at 10M rows.
 struct IngestChunk {
   /// Element type of each column; cells must be null or this type.
   std::vector<ValueType> types;
   /// columns[c] holds the chunk's cells for attribute c, all of equal
   /// length, in schema attribute order.
-  std::vector<std::vector<Value>> columns;
+  std::vector<IngestColumn> columns;
 
   size_t num_rows() const { return columns.empty() ? 0 : columns[0].size(); }
   size_t num_columns() const { return columns.size(); }
 
   /// Shapes the chunk for `schema` with every column empty, reserving
-  /// `rows_hint` cells per column. Reusable across refills.
+  /// `rows_hint` codes per column. Reusable across refills.
   void Reset(const Schema& schema, size_t rows_hint);
   /// Drops the cells but keeps the column buffers for refill.
   void Clear();
+  /// What the chunk holds: 4 bytes per code plus a nominal
+  /// sizeof(Value) + 16 per entry (the stable-accounting convention of
+  /// EncodedTable::ApproxBytes).
+  size_t ApproxBytes() const;
 };
 
 /// Columnar in-memory microdata table over an interned value store.
@@ -83,15 +158,23 @@ class Table {
   /// never reallocates mid-chunk.
   void ReserveRows(size_t additional_rows);
 
+  /// Releases id-column capacity beyond num_rows(). AppendChunk grows
+  /// capacity geometrically, so a producer that has appended its last
+  /// chunk may trim the slack once.
+  void ShrinkToFit();
+
   /// Appends one row; `row` must have one value per attribute. (Value/type
   /// agreement is validated: each value must be null or match the declared
   /// attribute type.)
   Status AppendRow(std::vector<Value> row);
 
   /// Appends a columnar chunk. Type agreement is validated once per
-  /// column per chunk against the chunk's type tags (per-cell re-check in
-  /// debug builds only); all columns must have equal length. The chunk's
-  /// cells are consumed; its buffers survive for Clear()+refill.
+  /// column per chunk against the chunk's type tags (per-entry re-check
+  /// in debug builds only); all columns must have equal length. Each
+  /// chunk entry is interned once, then every row's id is one lookup by
+  /// its code. Id capacity grows by at least half per reallocation, so a
+  /// long run of small chunks appends in linear time. The chunk's cells
+  /// are consumed; its buffers survive for Clear()+refill.
   Status AppendChunk(IngestChunk* chunk);
 
   /// Cell accessors; indices are bounds-checked with PSK_CHECK in debug

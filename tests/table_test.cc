@@ -2,6 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <string>
+#include <vector>
+
 #include "test_util.h"
 
 namespace psk {
@@ -153,6 +157,68 @@ TEST(TableTest, DisplayStringTruncates) {
   std::string display = table.ToDisplayString(2);
   EXPECT_NE(display.find("more rows"), std::string::npos);
   EXPECT_NE(display.find("Age"), std::string::npos);
+}
+
+// Appending one row per chunk must reallocate the id columns O(log n)
+// times, not once per chunk (which made small-chunk ingest quadratic).
+TEST(TableTest, SmallChunkAppendsReallocateLogarithmically) {
+  Table table(SmallSchema());
+  IngestChunk chunk;
+  size_t capacity_changes = 0;
+  size_t capacity = table.column_ids(0).capacity();
+  for (int64_t i = 0; i < 10000; ++i) {
+    chunk.Reset(table.schema(), 1);
+    chunk.columns[0].push_back(Value("id" + std::to_string(i % 50)));
+    chunk.columns[1].push_back(Value(i % 90));
+    chunk.columns[2].push_back(Value("NYC"));
+    chunk.columns[3].push_back(Value(i));
+    ASSERT_TRUE(table.AppendChunk(&chunk).ok());
+    if (table.column_ids(0).capacity() != capacity) {
+      capacity = table.column_ids(0).capacity();
+      ++capacity_changes;
+    }
+  }
+  ASSERT_EQ(table.num_rows(), 10000u);
+  EXPECT_EQ(table.Get(9999, 3).AsInt64(), 9999);
+  // Growth by half per step reaches 10k rows in about 23 steps.
+  EXPECT_LE(capacity_changes, 30u);
+  table.ShrinkToFit();
+  EXPECT_EQ(table.column_ids(0).capacity(), 10000u);
+  EXPECT_EQ(table.Get(9999, 3).AsInt64(), 9999);
+}
+
+// A chunk column is dictionary-coded: push_code repeats an entry, and
+// AppendChunk interns each entry once. push_back never merges entries.
+TEST(TableTest, IngestColumnCodesRepeatEntries) {
+  Schema schema = UnwrapOk(Schema::Create(
+      {{"City", ValueType::kString, AttributeRole::kKey},
+       {"Score", ValueType::kDouble, AttributeRole::kConfidential}}));
+  IngestChunk chunk;
+  chunk.Reset(schema, 4);
+  chunk.columns[0].push_back(Value("NYC"));
+  chunk.columns[0].push_back(Value("LA"));
+  chunk.columns[0].push_code(0);
+  chunk.columns[0].push_back(Value("NYC"));
+  double nan = std::nan("");
+  for (int i = 0; i < 4; ++i) chunk.columns[1].push_back(Value(nan));
+  EXPECT_EQ(chunk.num_rows(), 4u);
+  EXPECT_EQ(chunk.columns[0].values().size(), 3u);
+  EXPECT_EQ(chunk.columns[0][2].AsString(), "NYC");
+  std::vector<std::string> cities;
+  for (const Value& v : chunk.columns[0]) cities.push_back(v.AsString());
+  EXPECT_EQ(cities, (std::vector<std::string>{"NYC", "LA", "NYC", "NYC"}));
+  EXPECT_EQ(chunk.ApproxBytes(),
+            8 * sizeof(uint32_t) + 7 * (sizeof(Value) + 16));
+
+  Table table(schema);
+  ASSERT_TRUE(table.AppendChunk(&chunk).ok());
+  EXPECT_EQ(chunk.num_rows(), 0u);
+  EXPECT_EQ(table.GetId(0, 0), table.GetId(2, 0));
+  EXPECT_EQ(table.GetId(0, 0), table.GetId(3, 0));
+  EXPECT_NE(table.GetId(0, 0), table.GetId(1, 0));
+  // A NaN equals nothing: every NaN cell keeps an id of its own.
+  EXPECT_EQ(table.DistinctCount(0), 2u);
+  EXPECT_EQ(table.DistinctCount(1), 4u);
 }
 
 }  // namespace

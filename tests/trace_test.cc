@@ -20,6 +20,7 @@
 #include "psk/common/durable_file.h"
 #include "psk/datagen/adult.h"
 #include "psk/jobs/job.h"
+#include "psk/table/csv.h"
 #include "test_util.h"
 
 namespace psk {
@@ -307,6 +308,49 @@ TEST(TraceIntegrationTest, SinkExportsValidLookingJson) {
     EXPECT_NE(contents.find(field), std::string::npos) << field;
   }
   std::remove(path.c_str());
+}
+
+// A run fed through Anonymizer::Ingest reports its ingest as one span
+// under the root: chunks and rows are structural (the same at every
+// thread count), the wall time is a timing. A run on a ready table has no
+// ingest span.
+TEST(TraceIntegrationTest, IngestSpanIsStructuralAcrossThreadCounts) {
+  AdultFixture fixture;
+  std::string csv = WriteCsvString(fixture.table);
+  std::string baseline;
+  for (size_t threads : {1, 2, 8}) {
+    Anonymizer anonymizer(fixture.table.schema());
+    CsvChunkReader reader = UnwrapOk(
+        CsvChunkReader::OpenString(csv, fixture.table.schema()));
+    IngestChunk chunk;
+    while (UnwrapOk(reader.NextChunk(128, &chunk)) > 0) {
+      PSK_ASSERT_OK(anonymizer.Ingest(&chunk));
+    }
+    for (size_t i = 0; i < fixture.hierarchies.size(); ++i) {
+      anonymizer.AddHierarchy(fixture.hierarchies.hierarchy_ptr(i));
+    }
+    anonymizer.set_k(3).set_p(2).set_max_suppression(6).set_threads(threads);
+    anonymizer.set_trace_enabled(true);
+    UnwrapOk(anonymizer.Run());
+    std::string signature = anonymizer.last_trace()->StructureSignature();
+    if (baseline.empty()) {
+      baseline = signature;
+    } else {
+      EXPECT_EQ(signature, baseline) << "threads=" << threads;
+    }
+    std::string json = anonymizer.last_trace()->ToJson();
+    EXPECT_NE(json.find("\"wall_ns\""), std::string::npos);
+  }
+  // 300 rows in 128-row chunks: three chunks.
+  EXPECT_EQ(CountOccurrences(baseline, "ingest{chunks=3,rows=300}"), 1u)
+      << baseline;
+  EXPECT_EQ(baseline.rfind("run", 0), 0u);
+
+  Anonymizer in_memory = fixture.MakeAnonymizer();
+  in_memory.set_k(3).set_p(2).set_max_suppression(6).set_trace_enabled(true);
+  UnwrapOk(in_memory.Run());
+  EXPECT_EQ(in_memory.last_trace()->StructureSignature().find("ingest"),
+            std::string::npos);
 }
 
 // One decode, one group index: a run decodes its release exactly once on

@@ -167,5 +167,32 @@ TEST(ValueStoreTest, ReadersAreSafeDuringConcurrentInterning) {
   writer.join();
 }
 
+// Past kHotShardSlots, short strings (hot-classed) spill to the hash
+// shards: every id stays distinct, Get round-trips, and re-interning
+// finds the spilled values again.
+TEST(ValueStoreTest, HotShardOverflowSpillsToHashShards) {
+  ValueStore store;
+  const size_t count = ValueStore::kHotShardSlots + 1000;
+  std::vector<ValueId> ids;
+  ids.reserve(count);
+  for (size_t i = 0; i < count; ++i) {
+    ids.push_back(store.Intern(Value("s" + std::to_string(i))));
+  }
+  EXPECT_EQ(store.size(), count + 1);  // + the null sentinel
+  std::unordered_set<ValueId> distinct(ids.begin(), ids.end());
+  EXPECT_EQ(distinct.size(), count);
+  size_t spilled = 0;
+  for (size_t i = 0; i < count; ++i) {
+    if ((ids[i] >> ValueStore::kSlotBits) != 0) ++spilled;
+    ASSERT_EQ(store.Get(ids[i]).AsString(), "s" + std::to_string(i));
+  }
+  // The null sentinel takes one hot slot, so one more value spills.
+  EXPECT_EQ(spilled, 1001u);
+  for (size_t i = 0; i < count; ++i) {
+    ASSERT_EQ(store.Intern(Value("s" + std::to_string(i))), ids[i]);
+  }
+  EXPECT_EQ(store.size(), count + 1);
+}
+
 }  // namespace
 }  // namespace psk
