@@ -11,11 +11,18 @@
 // thread count writes the merged span trees to <out>.trace.json; the
 // timed runs stay untraced.
 //
+// Every cell (engine x thread count) is timed kRepetitions times, with the
+// thread counts interleaved inside each repetition so a slow spell of the
+// host hits every column alike. A row reports the median wall time and
+// the min-max spread, and speedup_vs_1 is the ratio of medians: one
+// sample on a shared VM swings by 2x or more run to run.
+//
 // Every result row records the machine's hardware_concurrency and an
 // `oversubscribed` flag (threads > hardware cores): on a small box the
 // speedup_vs_1 of an oversubscribed row measures scheduler thrash, not
 // scaling, so the CI gate must skip those rows rather than gate on noise.
 
+#include <algorithm>
 #include <chrono>
 #include <fstream>
 #include <iostream>
@@ -36,11 +43,29 @@
 namespace psk {
 namespace {
 
+/// Timed runs per (engine, thread count) cell.
+constexpr size_t kRepetitions = 5;
+
 struct RunResult {
   std::string engine;
   size_t threads = 0;
-  double wall_ms = 0.0;
+  /// One wall time per repetition, in run order.
+  std::vector<double> wall_ms;
   size_t nodes_generalized = 0;
+
+  double Median() const {
+    std::vector<double> sorted = wall_ms;
+    std::sort(sorted.begin(), sorted.end());
+    size_t n = sorted.size();
+    return n % 2 == 1 ? sorted[n / 2]
+                      : 0.5 * (sorted[n / 2 - 1] + sorted[n / 2]);
+  }
+  double Min() const {
+    return *std::min_element(wall_ms.begin(), wall_ms.end());
+  }
+  double Max() const {
+    return *std::max_element(wall_ms.begin(), wall_ms.end());
+  }
 };
 
 SearchOptions MakeOptions(size_t rows, size_t threads) {
@@ -52,18 +77,15 @@ SearchOptions MakeOptions(size_t rows, size_t threads) {
   return options;
 }
 
+/// Times one run of `fn` and appends it to `cell`.
 template <typename Fn>
-RunResult Measure(const std::string& engine, size_t threads, Fn&& fn) {
+void Measure(RunResult* cell, Fn&& fn) {
   auto start = std::chrono::steady_clock::now();
   SearchStats stats = fn();
   auto end = std::chrono::steady_clock::now();
-  RunResult r;
-  r.engine = engine;
-  r.threads = threads;
-  r.wall_ms =
-      std::chrono::duration<double, std::milli>(end - start).count();
-  r.nodes_generalized = stats.nodes_generalized;
-  return r;
+  cell->wall_ms.push_back(
+      std::chrono::duration<double, std::milli>(end - start).count());
+  cell->nodes_generalized = stats.nodes_generalized;
 }
 
 // One traced run per engine at `threads` workers, all merged into a
@@ -145,37 +167,52 @@ int Main(int argc, char** argv) {
   const Table& im = *table;
   const HierarchySet& hs = *hierarchies;
 
+  const std::vector<std::string> engines = {"exhaustive", "samarati", "ola",
+                                            "incognito"};
+  // results[t * engines.size() + e] is the cell of thread_counts[t] and
+  // engines[e].
   std::vector<RunResult> results;
   for (size_t threads : thread_counts) {
-    SearchOptions options = MakeOptions(rows, threads);
-    results.push_back(Measure("exhaustive", threads, [&] {
-      auto r = ExhaustiveSearch(im, hs, options);
-      PSK_CHECK(r.ok());
-      return r->stats;
-    }));
-    results.push_back(Measure("samarati", threads, [&] {
-      auto r = SamaratiSearch(im, hs, options);
-      PSK_CHECK(r.ok());
-      return r->stats;
-    }));
-    results.push_back(Measure("ola", threads, [&] {
-      OlaOptions ola;
-      ola.search = options;
-      auto r = OlaSearch(im, hs, ola);
-      PSK_CHECK(r.ok());
-      return r->stats;
-    }));
-    results.push_back(Measure("incognito", threads, [&] {
-      auto r = IncognitoSearch(im, hs, options);
-      PSK_CHECK(r.ok());
-      return r->stats;
-    }));
+    for (const std::string& engine : engines) {
+      RunResult cell;
+      cell.engine = engine;
+      cell.threads = threads;
+      results.push_back(cell);
+    }
+  }
+  for (size_t rep = 0; rep < kRepetitions; ++rep) {
+    for (size_t t = 0; t < thread_counts.size(); ++t) {
+      SearchOptions options = MakeOptions(rows, thread_counts[t]);
+      RunResult* cells = &results[t * engines.size()];
+      Measure(&cells[0], [&] {
+        auto r = ExhaustiveSearch(im, hs, options);
+        PSK_CHECK(r.ok());
+        return r->stats;
+      });
+      Measure(&cells[1], [&] {
+        auto r = SamaratiSearch(im, hs, options);
+        PSK_CHECK(r.ok());
+        return r->stats;
+      });
+      Measure(&cells[2], [&] {
+        OlaOptions ola;
+        ola.search = options;
+        auto r = OlaSearch(im, hs, ola);
+        PSK_CHECK(r.ok());
+        return r->stats;
+      });
+      Measure(&cells[3], [&] {
+        auto r = IncognitoSearch(im, hs, options);
+        PSK_CHECK(r.ok());
+        return r->stats;
+      });
+    }
   }
 
-  // Sequential baseline per engine, for the speedup column.
+  // Sequential baseline per engine (median), for the speedup column.
   auto baseline_ms = [&](const std::string& engine) {
     for (const RunResult& r : results) {
-      if (r.engine == engine && r.threads == 1) return r.wall_ms;
+      if (r.engine == engine && r.threads == 1) return r.Median();
     }
     return 0.0;
   };
@@ -185,12 +222,14 @@ int Main(int argc, char** argv) {
   json.Key("benchmark").String("parallel_scaling");
   json.Key("workload").String("adult");
   json.Key("rows").Uint(rows);
+  json.Key("repetitions").Uint(kRepetitions);
   json.Key("hardware_concurrency")
       .Uint(std::thread::hardware_concurrency());
   json.Key("results").BeginArray();
   const size_t hardware = std::thread::hardware_concurrency();
   for (const RunResult& r : results) {
-    double secs = r.wall_ms / 1000.0;
+    const double median_ms = r.Median();
+    double secs = median_ms / 1000.0;
     // A run with more workers than cores measures scheduler thrash, not
     // scaling — the row stays in the data (marked) but gates must skip it.
     const bool oversubscribed = hardware > 0 && r.threads > hardware;
@@ -199,16 +238,20 @@ int Main(int argc, char** argv) {
     json.Key("threads").Uint(r.threads);
     json.Key("hardware_concurrency").Uint(hardware);
     json.Key("oversubscribed").Bool(oversubscribed);
-    json.Key("wall_ms").Double(r.wall_ms);
+    // wall_ms is the median; the min-max pair is its spread.
+    json.Key("wall_ms").Double(median_ms);
+    json.Key("wall_ms_min").Double(r.Min());
+    json.Key("wall_ms_max").Double(r.Max());
     json.Key("nodes_generalized").Uint(r.nodes_generalized);
     json.Key("nodes_per_sec")
         .Double(secs > 0 ? static_cast<double>(r.nodes_generalized) / secs
                          : 0.0);
     json.Key("speedup_vs_1")
-        .Double(r.wall_ms > 0 ? baseline_ms(r.engine) / r.wall_ms : 0.0);
+        .Double(median_ms > 0 ? baseline_ms(r.engine) / median_ms : 0.0);
     json.EndObject();
-    std::cout << r.engine << " threads=" << r.threads << " wall_ms="
-              << r.wall_ms << " nodes=" << r.nodes_generalized
+    std::cout << r.engine << " threads=" << r.threads << " wall_ms median="
+              << median_ms << " [" << r.Min() << ", " << r.Max()
+              << "] nodes=" << r.nodes_generalized
               << (oversubscribed ? " (oversubscribed)" : "") << "\n";
   }
   json.EndArray();

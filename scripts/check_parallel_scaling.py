@@ -10,6 +10,9 @@ fan-out, so it isolates the work-decomposition quality) on:
   - >= 3.0x speedup_vs_1 at 8 threads when hardware_concurrency >= 8
     (only if an 8-thread row exists)
 
+Each row's speedup_vs_1 is the ratio of median wall times over the
+bench's repetitions; wall_ms_min/wall_ms_max give the spread.
+
 Rows marked oversubscribed (threads > hardware_concurrency) are never
 gated: their "speedup" measures scheduler thrash, not scaling. On runners
 with fewer than 4 cores the gate skips entirely with exit 0 — the bench
@@ -55,14 +58,16 @@ def main():
                 continue
             got = r.get("speedup_vs_1", 0.0)
             checked += 1
+            wall = (f"wall_ms median={r.get('wall_ms', 0):.1f} "
+                    f"[{r.get('wall_ms_min', 0):.1f}, "
+                    f"{r.get('wall_ms_max', 0):.1f}]")
             if got < need:
                 print(f"FAIL: {GATE_ENGINE} threads={threads} speedup "
                       f"{got:.2f}x < required {need}x "
-                      f"(wall_ms={r.get('wall_ms', 0):.1f}, "
-                      f"hardware_concurrency={hw})")
+                      f"({wall}, hardware_concurrency={hw})")
                 return 1
             print(f"ok: {GATE_ENGINE} threads={threads} speedup "
-                  f"{got:.2f}x >= {need}x")
+                  f"{got:.2f}x >= {need}x ({wall})")
     if checked == 0:
         print("skip: no gateable rows (runner has too few cores) — "
               "scaling not judged on this machine")

@@ -40,7 +40,7 @@ run "$BUILD/bench/bench_table8_attribute_disclosure" table8_results.json
 # Extension experiments.
 run "$BUILD/bench/bench_query_error"
 run "$BUILD/bench/bench_ru_frontier"
-run "$BUILD/bench/bench_parallel_scaling" --trace 4000 BENCH_parallel.json
+run "$BUILD/bench/bench_parallel_scaling" --trace 600000 BENCH_parallel.json
 
 # Archive the run traces next to the numeric results so a regression can
 # be diagnosed from the span trees without re-running anything. A bench

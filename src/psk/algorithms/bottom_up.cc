@@ -9,31 +9,17 @@ Result<MinimalSetResult> BottomUpSearch(const Table& initial_microdata,
                                         const HierarchySet& hierarchies,
                                         const SearchOptions& options,
                                         const BottomUpOptions& bu_options) {
-  NodeEvaluator evaluator(initial_microdata, hierarchies, options);
-  // Sequential engine with a bare evaluator: one local event buffer stands
-  // in for the sweeper's per-worker set, drained at each span close.
+  // This engine walks nodes sequentially on the control thread, so every
+  // lane the sweeper grants goes to the fine axis: row-sliced group-bys
+  // inside each evaluation (bit-identical output).
+  NodeSweeper sweeper(initial_microdata, hierarchies, options);
+  PSK_RETURN_IF_ERROR(sweeper.Init());
   RunTrace* trace = options.trace;
-  TraceEventBuffer trace_buffer;
-  if (trace != nullptr) evaluator.set_trace(trace, &trace_buffer);
-  auto flush_events = [&] {
-    if (trace != nullptr && !trace_buffer.empty()) {
-      trace->MergeEvents(trace_buffer.Take());
-    }
-  };
-  PSK_RETURN_IF_ERROR(evaluator.Init());
-  // This engine walks nodes sequentially on the control thread, so any
-  // requested parallelism goes entirely to the fine axis: row-sliced
-  // group-bys inside each evaluation (bit-identical output). Checkpointed
-  // runs stay fully sequential, like the sweeper-based engines.
-  if (options.threads > 1 && options.restore == nullptr &&
-      options.checkpoint_sink == nullptr) {
-    evaluator.set_row_workers(options.threads);
-  }
 
   MinimalSetResult result;
-  if (!evaluator.Condition1Holds()) {
+  if (!sweeper.Condition1Holds()) {
     result.condition1_failed = true;
-    result.stats = evaluator.stats();
+    result.stats = sweeper.MergedStats();
     return result;
   }
 
@@ -47,11 +33,11 @@ Result<MinimalSetResult> BottomUpSearch(const Table& initial_microdata,
   if (bu_options.use_subset_lower_bounds) {
     TraceSpan span(trace, "lower_bounds");
     span.Counter("attributes", hierarchies.size());
-    const EncodedTable& encoded = *evaluator.encoded_table();
+    const EncodedTable& encoded = *sweeper.encoded_table();
     EncodedWorkspace ws;
     // Control-thread loop: the single-attribute group-bys may row-slice
     // with the same cap as the main walk.
-    ws.row_workers = evaluator.row_workers();
+    ws.row_workers = sweeper.lanes();
     ws.min_rows_per_slice = options.min_rows_per_slice;
     for (size_t i = 0; i < hierarchies.size(); ++i) {
       const AttributeHierarchy& hierarchy = hierarchies.hierarchy(i);
@@ -79,7 +65,7 @@ Result<MinimalSetResult> BottomUpSearch(const Table& initial_microdata,
         }
       }
       if (below_bound) {
-        ++evaluator.mutable_stats()->nodes_skipped;
+        ++sweeper.mutable_stats()->nodes_skipped;
         continue;
       }
       // Dominance pruning: a generalization of a known minimal node
@@ -92,14 +78,14 @@ Result<MinimalSetResult> BottomUpSearch(const Table& initial_microdata,
         }
       }
       if (dominated) {
-        ++evaluator.mutable_stats()->nodes_skipped;
+        ++sweeper.mutable_stats()->nodes_skipped;
         continue;
       }
-      Result<NodeEvaluation> eval = evaluator.Evaluate(node);
+      Result<NodeEvaluation> eval = sweeper.Evaluate(node);
       if (!eval.ok()) {
         // Budget stop: the minimal nodes collected so far stay valid (every
         // one was fully evaluated); anything else propagates.
-        if (!AbsorbBudgetStop(eval.status(), evaluator.mutable_stats())) {
+        if (!AbsorbBudgetStop(eval.status(), sweeper.mutable_stats())) {
           return eval.status();
         }
         stopped = true;
@@ -111,12 +97,12 @@ Result<MinimalSetResult> BottomUpSearch(const Table& initial_microdata,
       }
     }
     // A completed height is the BFS's crash-recovery boundary.
-    flush_events();
-    evaluator.FlushCheckpoint();
+    sweeper.FlushTraceEvents();
+    sweeper.FlushCheckpoint();
   }
   std::sort(result.minimal_nodes.begin(), result.minimal_nodes.end());
-  result.stats = evaluator.stats();
-  result.encoded = evaluator.encoded_table();
+  result.stats = sweeper.MergedStats();
+  result.encoded = sweeper.encoded_table();
   return result;
 }
 

@@ -12,7 +12,7 @@ Result<MinimalSetResult> ExhaustiveSearch(const Table& initial_microdata,
   PSK_RETURN_IF_ERROR(sweeper.Init());
 
   MinimalSetResult result;
-  if (!sweeper.primary().Condition1Holds()) {
+  if (!sweeper.Condition1Holds()) {
     result.condition1_failed = true;
     result.stats = sweeper.MergedStats();
     return result;
@@ -24,8 +24,7 @@ Result<MinimalSetResult> ExhaustiveSearch(const Table& initial_microdata,
   // early never pays for materializing the rest of an exponential lattice.
   // The sweeper evaluates every node of a wave whatever the thread count,
   // verdicts land in height-major node order, and worker stats survive
-  // every outcome — including a hard error in one shard, which previously
-  // dropped that shard's counters (and the other shards' entirely).
+  // every outcome — including a hard error in one shard.
   for (int h = 0; h <= lattice.height(); ++h) {
     TraceSpan span(options.trace, "height");
     span.Attr("height", std::to_string(h));
@@ -33,7 +32,7 @@ Result<MinimalSetResult> ExhaustiveSearch(const Table& initial_microdata,
     std::vector<std::optional<NodeEvaluation>> evals;
     Status swept = sweeper.Sweep(nodes, &evals);
     if (!swept.ok()) {
-      if (!AbsorbBudgetStop(swept, sweeper.primary().mutable_stats())) {
+      if (!AbsorbBudgetStop(swept, sweeper.mutable_stats())) {
         return sweeper.PropagateHardError(swept);
       }
       for (size_t i = 0; i < nodes.size(); ++i) {
@@ -47,9 +46,9 @@ Result<MinimalSetResult> ExhaustiveSearch(const Table& initial_microdata,
       if (evals[i]->satisfied) result.satisfying_nodes.push_back(nodes[i]);
     }
   }
-  sweeper.primary().FlushCheckpoint();
+  sweeper.FlushCheckpoint();
   result.stats = sweeper.MergedStats();
-  result.encoded = sweeper.primary().encoded_table();
+  result.encoded = sweeper.encoded_table();
   result.minimal_nodes = MinimalNodes(result.satisfying_nodes);
   return result;
 }

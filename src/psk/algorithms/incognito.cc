@@ -78,27 +78,23 @@ Result<MinimalSetResult> IncognitoSearch(
     const IncognitoOptions& incognito_options) {
   NodeSweeper sweeper(initial_microdata, hierarchies, options);
   PSK_RETURN_IF_ERROR(sweeper.Init());
-  NodeEvaluator& evaluator = sweeper.primary();
 
   MinimalSetResult result;
-  if (!evaluator.Condition1Holds()) {
+  if (!sweeper.Condition1Holds()) {
     result.condition1_failed = true;
     result.stats = sweeper.MergedStats();
     return result;
   }
 
   // The subset phases run on the sweeper's shared encoded core.
-  std::shared_ptr<const EncodedTable> encoded = evaluator.encoded_table();
+  std::shared_ptr<const EncodedTable> encoded = sweeper.encoded_table();
   std::vector<int> max_levels = hierarchies.MaxLevels();
   size_t m = max_levels.size();
-  SearchStats* stats = evaluator.mutable_stats();
-  // The subset phases bypass NodeEvaluator, so they shard over the pool
-  // directly. Like the node sweeps, parallelism engages only when
-  // checkpointing is off (subset facts feed the sequential snapshot).
-  bool checkpointed = options.restore != nullptr ||
-                      options.checkpoint_sink != nullptr;
-  size_t subset_workers =
-      (checkpointed || options.threads <= 1) ? 1 : options.threads;
+  SearchStats* stats = sweeper.mutable_stats();
+  // The subset phases bypass the node evaluation, so they shard over the
+  // pool directly, on the sweeper's lanes (one when checkpointing: subset
+  // facts feed the sequential snapshot).
+  size_t subset_workers = sweeper.lanes();
   // Per-worker grouping scratch (workspace reuse across waves; the encoded
   // table itself is immutable and shared).
   std::vector<EncodedWorkspace> subset_ws(subset_workers);
@@ -194,28 +190,26 @@ Result<MinimalSetResult> IncognitoSearch(
             ++stats->nodes_skipped;
             continue;
           }
-          if (checkpointed) {
-            std::string fact_key = SubsetFactKey(attrs, levels);
-            bool ok;
-            if (evaluator.LookupFact(fact_key, &ok)) {
-              // Resume fast-forward: this subset node was decided by the
-              // interrupted run — reuse its verdict without re-scanning
-              // the encoded table or charging the budget. Deadline and
-              // cancellation are still polled so a replay of a large
-              // snapshot can be stopped.
-              Status replay = evaluator.TickReplay();
-              if (!replay.ok()) {
-                if (!AbsorbBudgetStop(replay, stats)) {
-                  return sweeper.PropagateHardError(replay);
-                }
-                stopped = true;
-                break;
+          // Resume fast-forward (the snapshot holds no facts unless
+          // checkpointing): this subset node was decided by the
+          // interrupted run — reuse its verdict without re-scanning the
+          // encoded table or charging the budget. Deadline and
+          // cancellation are still polled so a replay of a large snapshot
+          // can be stopped.
+          bool known_ok;
+          if (sweeper.LookupFact(SubsetFactKey(attrs, levels), &known_ok)) {
+            Status replay = sweeper.TickReplay();
+            if (!replay.ok()) {
+              if (!AbsorbBudgetStop(replay, stats)) {
+                return sweeper.PropagateHardError(replay);
               }
-              ++stats->subset_nodes_evaluated;
-              evaluator.TickCheckpoint();
-              if (ok) satisfied.insert(levels);
-              continue;
+              stopped = true;
+              break;
             }
+            ++stats->subset_nodes_evaluated;
+            sweeper.TickCheckpoint();
+            if (known_ok) satisfied.insert(levels);
+            continue;
           }
           pending.push_back(&levels);
         }
@@ -243,7 +237,7 @@ Result<MinimalSetResult> IncognitoSearch(
           for (const std::vector<int>* levels : pending) {
             if (stopped) break;
             Status charged =
-                evaluator.enforcer()->Charge(1, encoded->num_rows());
+                sweeper.enforcer()->Charge(1, encoded->num_rows());
             if (!charged.ok()) {
               if (!AbsorbBudgetStop(charged, stats)) {
                 return sweeper.PropagateHardError(charged);
@@ -256,8 +250,8 @@ Result<MinimalSetResult> IncognitoSearch(
             }
             ++stats->subset_nodes_evaluated;
             bool ok = subset_ok(attrs, *levels, /*worker=*/0);
-            evaluator.RecordFact(SubsetFactKey(attrs, *levels), ok);
-            evaluator.TickCheckpoint();
+            sweeper.RecordFact(SubsetFactKey(attrs, *levels), ok);
+            sweeper.TickCheckpoint();
             if (ok) satisfied.insert(*levels);
           }
         } else if (!pending.empty()) {
@@ -270,7 +264,7 @@ Result<MinimalSetResult> IncognitoSearch(
               [&](size_t worker, size_t index) {
                 if (stop.load(std::memory_order_relaxed)) return;
                 Status charged =
-                    evaluator.enforcer()->Charge(1, encoded->num_rows());
+                    sweeper.enforcer()->Charge(1, encoded->num_rows());
                 if (!charged.ok()) {
                   if (worker_status[worker].ok()) {
                     worker_status[worker] = charged;
@@ -301,7 +295,7 @@ Result<MinimalSetResult> IncognitoSearch(
         seg_begin = seg_end;
       }
       // A finished subset is Incognito's crash-recovery boundary.
-      evaluator.FlushCheckpoint();
+      sweeper.FlushCheckpoint();
     }
   }
   if (trace != nullptr) trace->End();
@@ -383,7 +377,7 @@ Result<MinimalSetResult> IncognitoSearch(
   std::sort(result.minimal_nodes.begin(), result.minimal_nodes.end());
   std::sort(result.satisfying_nodes.begin(), result.satisfying_nodes.end());
   result.stats = sweeper.MergedStats();
-  result.encoded = evaluator.encoded_table();
+  result.encoded = sweeper.encoded_table();
   return result;
 }
 

@@ -85,11 +85,11 @@ class OlaDriver {
   Result<bool> Satisfies(const LatticeNode& node) {
     TagStore::Tag tag = tags_.Lookup(node);
     if (tag != TagStore::Tag::kUnknown) {
-      ++sweeper_.primary().mutable_stats()->nodes_skipped;
+      ++sweeper_.mutable_stats()->nodes_skipped;
       return tag == TagStore::Tag::kSatisfied;
     }
     PSK_ASSIGN_OR_RETURN(NodeEvaluation eval,
-                         sweeper_.primary().Evaluate(node));
+                         sweeper_.Evaluate(node));
     tags_.Record(node, eval.satisfied);
     return eval.satisfied;
   }
@@ -120,7 +120,7 @@ class OlaDriver {
       if (tag == TagStore::Tag::kUnknown) {
         unknown.push_back(i);
       } else {
-        ++sweeper_.primary().mutable_stats()->nodes_skipped;
+        ++sweeper_.mutable_stats()->nodes_skipped;
         satisfies[i] = tag == TagStore::Tag::kSatisfied ? 1 : 0;
       }
     }
@@ -157,10 +157,9 @@ Result<OlaResult> OlaSearch(const Table& initial_microdata,
                             const OlaOptions& options) {
   NodeSweeper sweeper(initial_microdata, hierarchies, options.search);
   PSK_RETURN_IF_ERROR(sweeper.Init());
-  NodeEvaluator& evaluator = sweeper.primary();
 
   OlaResult result;
-  if (!evaluator.Condition1Holds()) {
+  if (!sweeper.Condition1Holds()) {
     result.condition1_failed = true;
     result.stats = sweeper.MergedStats();
     return result;
@@ -173,7 +172,7 @@ Result<OlaResult> OlaSearch(const Table& initial_microdata,
   LatticeNode bottom = lattice.Bottom();
   LatticeNode top = lattice.Top();
   RunTrace* trace = options.search.trace;
-  // The check/verify phases evaluate through the primary directly, so each
+  // The check/verify phases call Evaluate directly, so each
   // phase flushes the pending worker events before its span closes.
   Result<bool> top_ok = [&] {
     TraceSpan span(trace, "check_top");
@@ -183,7 +182,7 @@ Result<OlaResult> OlaSearch(const Table& initial_microdata,
   }();
   if (!top_ok.ok()) {
     // Budget spent before even the lattice top was checked: nothing usable.
-    if (!AbsorbBudgetStop(top_ok.status(), evaluator.mutable_stats())) {
+    if (!AbsorbBudgetStop(top_ok.status(), sweeper.mutable_stats())) {
       return sweeper.PropagateHardError(top_ok.status());
     }
     result.stats = sweeper.MergedStats();
@@ -201,7 +200,7 @@ Result<OlaResult> OlaSearch(const Table& initial_microdata,
     return ok;
   }();
   if (!bottom_ok.ok()) {
-    if (!AbsorbBudgetStop(bottom_ok.status(), evaluator.mutable_stats())) {
+    if (!AbsorbBudgetStop(bottom_ok.status(), sweeper.mutable_stats())) {
       return sweeper.PropagateHardError(bottom_ok.status());
     }
     // The top satisfies and is the only verified node; fall through so the
@@ -218,9 +217,9 @@ Result<OlaResult> OlaSearch(const Table& initial_microdata,
     }();
     // Bisection is the bulk of OLA's work; make its verdicts durable
     // before the verification and metric phases re-consume them.
-    evaluator.FlushCheckpoint();
+    sweeper.FlushCheckpoint();
     if (!bisected.ok()) {
-      if (!AbsorbBudgetStop(bisected, evaluator.mutable_stats())) {
+      if (!AbsorbBudgetStop(bisected, sweeper.mutable_stats())) {
         return sweeper.PropagateHardError(bisected);
       }
       // Candidates collected before the stop are sub-lattice tops already
@@ -242,7 +241,7 @@ Result<OlaResult> OlaSearch(const Table& initial_microdata,
     for (const LatticeNode& node : candidates) {
       Result<bool> ok = driver.Satisfies(node);
       if (!ok.ok()) {
-        if (!AbsorbBudgetStop(ok.status(), evaluator.mutable_stats())) {
+        if (!AbsorbBudgetStop(ok.status(), sweeper.mutable_stats())) {
           return sweeper.PropagateHardError(ok.status());
         }
         // Unverifiable under the exhausted budget; tag-known candidates are
@@ -273,7 +272,7 @@ Result<OlaResult> OlaSearch(const Table& initial_microdata,
         case OlaMetric::kDiscernibility: {
           PSK_ASSIGN_OR_RETURN(
               uint64_t dm,
-              EncodedDiscernibility(*evaluator.encoded_table(), node,
+              EncodedDiscernibility(*sweeper.encoded_table(), node,
                                     options.search.k, &ws));
           metric = static_cast<double>(dm);
           break;
@@ -295,7 +294,7 @@ Result<OlaResult> OlaSearch(const Table& initial_microdata,
   {
     TraceSpan span(trace, "materialize");
     span.Attr("path", "encoded");
-    Result<MaskedMicrodata> winner = evaluator.Materialize(result.optimal);
+    Result<MaskedMicrodata> winner = sweeper.Materialize(result.optimal);
     if (!winner.ok()) return sweeper.PropagateHardError(winner.status());
     result.masked = std::move(winner->table);
     result.suppressed = winner->suppressed;

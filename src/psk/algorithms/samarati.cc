@@ -28,11 +28,11 @@ constexpr size_t kProbeChunk = 64;
 // are re-served by the VerdictCache without re-generalizing the table).
 Result<std::optional<LatticeNode>> ProbeHeight(
     NodeSweeper& sweeper, const GeneralizationLattice& lattice, int h,
-    std::unordered_set<int>& probed) {
-  TraceSpan span(sweeper.primary().trace(), "probe_height");
+    std::unordered_set<int>& probed, RunTrace* trace) {
+  TraceSpan span(trace, "probe_height");
   span.Attr("height", std::to_string(h));
   if (probed.insert(h).second) {
-    ++sweeper.primary().mutable_stats()->heights_probed;
+    ++sweeper.mutable_stats()->heights_probed;
   }
   std::vector<LatticeNode> nodes = lattice.NodesAtHeight(h);
   std::vector<std::optional<NodeEvaluation>> evals;
@@ -43,12 +43,12 @@ Result<std::optional<LatticeNode>> ProbeHeight(
     PSK_RETURN_IF_ERROR(sweeper.Sweep(chunk, &evals));
     for (size_t i = 0; i < chunk.size(); ++i) {
       if (evals[i].has_value() && evals[i]->satisfied) {
-        sweeper.primary().FlushCheckpoint();
+        sweeper.FlushCheckpoint();
         return std::optional<LatticeNode>(chunk[i]);
       }
     }
   }
-  sweeper.primary().FlushCheckpoint();
+  sweeper.FlushCheckpoint();
   return std::optional<LatticeNode>(std::nullopt);
 }
 
@@ -59,10 +59,9 @@ Result<SearchResult> SamaratiSearch(const Table& initial_microdata,
                                     const SearchOptions& options) {
   NodeSweeper sweeper(initial_microdata, hierarchies, options);
   PSK_RETURN_IF_ERROR(sweeper.Init());
-  NodeEvaluator& evaluator = sweeper.primary();
 
   SearchResult result;
-  if (!evaluator.Condition1Holds()) {
+  if (!sweeper.Condition1Holds()) {
     result.condition1_failed = true;
     result.stats = sweeper.MergedStats();
     return result;
@@ -80,11 +79,11 @@ Result<SearchResult> SamaratiSearch(const Table& initial_microdata,
     while (low < high) {
       int mid = (low + high) / 2;
       Result<std::optional<LatticeNode>> hit =
-          ProbeHeight(sweeper, lattice, mid, probed);
+          ProbeHeight(sweeper, lattice, mid, probed, options.trace);
       if (!hit.ok()) {
         // A budget stop keeps the best satisfying node seen so far (it is a
         // valid, if possibly non-minimal, solution); hard errors propagate.
-        if (!AbsorbBudgetStop(hit.status(), evaluator.mutable_stats())) {
+        if (!AbsorbBudgetStop(hit.status(), sweeper.mutable_stats())) {
           return sweeper.PropagateHardError(hit.status());
         }
         stopped = true;
@@ -108,9 +107,9 @@ Result<SearchResult> SamaratiSearch(const Table& initial_microdata,
     TraceSpan phase(options.trace, "confirm");
     for (int h = low; h <= lattice.height(); ++h) {
       Result<std::optional<LatticeNode>> hit =
-          ProbeHeight(sweeper, lattice, h, probed);
+          ProbeHeight(sweeper, lattice, h, probed, options.trace);
       if (!hit.ok()) {
-        if (!AbsorbBudgetStop(hit.status(), evaluator.mutable_stats())) {
+        if (!AbsorbBudgetStop(hit.status(), sweeper.mutable_stats())) {
           return sweeper.PropagateHardError(hit.status());
         }
         break;
@@ -127,7 +126,7 @@ Result<SearchResult> SamaratiSearch(const Table& initial_microdata,
   if (best.has_value()) {
     TraceSpan phase(options.trace, "materialize");
     phase.Attr("path", "encoded");
-    Result<MaskedMicrodata> mm = evaluator.Materialize(*best);
+    Result<MaskedMicrodata> mm = sweeper.Materialize(*best);
     if (!mm.ok()) return sweeper.PropagateHardError(mm.status());
     result.found = true;
     result.node = *best;

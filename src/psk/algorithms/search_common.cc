@@ -129,14 +129,226 @@ void RecordStatsCounters(RunTrace* trace, const SearchStats& stats) {
   trace->Attr("stop_reason", StatusCodeToString(stats.stop_reason));
 }
 
-NodeEvaluator::NodeEvaluator(const Table& initial_microdata,
-                             const HierarchySet& hierarchies,
-                             SearchOptions options)
+/// One lane of a NodeSweeper: the per-node evaluation body plus the
+/// state that must not be shared between concurrently running lanes. The
+/// encoded table, the Condition 2 bound, the enforcer, the verdict cache
+/// and the snapshot are read from the sweeper.
+class NodeSweeper::Lane {
+ public:
+  explicit Lane(NodeSweeper& sweeper) : sweeper_(sweeper) {}
+
+  /// Attaches the scratch-growth accountant (no-op without a memory
+  /// budget); EvaluateEncoded delta-resizes it as the group-by buffers
+  /// grow.
+  Status Init() {
+    return scratch_reservation_.Reserve(sweeper_.options_.budget.memory, 0);
+  }
+
+  /// Evaluates one node, updating stats(): snapshot replay, then the
+  /// verdict cache, then the charged evaluation body.
+  Result<NodeEvaluation> Evaluate(const LatticeNode& node);
+
+  /// Counts one budget-free fast-forward (see NodeSweeper::TickReplay).
+  Status TickReplay() {
+    ++stats.replay_ticks;
+    if (++replay_hits_since_check_ < kReplayCheckInterval) {
+      return Status::OK();
+    }
+    replay_hits_since_check_ = 0;
+    // Deadline/cancellation only — a fast-forward costs no real work, so
+    // the node/row budget is not charged.
+    return sweeper_.enforcer_->Check();
+  }
+
+  /// Upper bound on row workers per group-by; resolved to the pool's fair
+  /// share at each evaluation. MUST stay 1 whenever this lane evaluates
+  /// inside a ThreadPool task — a nested ParallelFor can deadlock the
+  /// pool — so only lane 0, on the control thread, ever holds more.
+  size_t row_workers = 1;
+  SearchStats stats;
+  /// Lock-free per-lane event buffer, merged by FlushTraceEvents.
+  TraceEventBuffer trace_buffer;
+
+ private:
+  /// The charged evaluation body behind Evaluate.
+  Result<NodeEvaluation> EvaluateEncoded(const LatticeNode& node);
+
+  /// Records one per-node trace event (caller checked tracing is on).
+  /// `path` is "encoded"/"cache"/"replay".
+  void RecordEvalEvent(const std::string& key, const char* path,
+                       const NodeEvaluation& eval, int64_t start_ns);
+
+  NodeSweeper& sweeper_;
+  EncodedWorkspace ws_;
+  EncodedDistinctScratch distinct_scratch_;
+  /// Scratch-buffer charge, delta-resized after every evaluation.
+  MemoryReservation scratch_reservation_;
+  uint64_t replay_hits_since_check_ = 0;
+};
+
+void NodeSweeper::Lane::RecordEvalEvent(const std::string& key,
+                                        const char* path,
+                                        const NodeEvaluation& eval,
+                                        int64_t start_ns) {
+  TraceEvent event;
+  event.name = "eval";
+  event.order_key = key;
+  event.start_ns = start_ns;
+  event.duration_ns = sweeper_.options_.trace->NowNs() - start_ns;
+  event.attrs.emplace_back("node", key);
+  event.attrs.emplace_back("path", path);
+  event.attrs.emplace_back("stage", CheckStageName(eval.stage));
+  trace_buffer.Record(std::move(event));
+}
+
+Result<NodeEvaluation> NodeSweeper::Lane::Evaluate(const LatticeNode& node) {
+  if (!sweeper_.condition1_holds_) {
+    return Status::FailedPrecondition(
+        "Condition 1 fails for the requested p; no node can satisfy it");
+  }
+  RunTrace* trace = sweeper_.options_.trace;
+  // Every lane shares the sweeper's cache, so a key is always needed.
+  std::string key = SnapshotNodeKey(node);
+  int64_t trace_start = trace != nullptr ? trace->NowNs() : 0;
+  if (sweeper_.checkpointing_) {
+    // Checkpointing means one lane, so this lane owns the snapshot.
+    auto cached = sweeper_.snapshot_.verdicts.find(key);
+    if (cached != sweeper_.snapshot_.verdicts.end()) {
+      // Resume fast-forward: recount the stored verdict into the stats
+      // exactly as the original evaluation did, so a resumed run finishes
+      // with the same counters as an uninterrupted one. No budget charge —
+      // no table was generalized — but deadline and cancellation are still
+      // polled so a replay of a large snapshot can be stopped.
+      PSK_RETURN_IF_ERROR(TickReplay());
+      const NodeEvaluation& eval = cached->second;
+      ++stats.nodes_generalized;
+      // Recount the cache miss the original evaluation made, so the
+      // resumed run's totals converge on the uninterrupted run's.
+      ++stats.nodes_cache_misses;
+      switch (eval.stage) {
+        case CheckStage::kKAnonymity:
+          ++stats.nodes_rejected_kanonymity;
+          break;
+        case CheckStage::kCondition2:
+          ++stats.nodes_pruned_condition2;
+          break;
+        case CheckStage::kGroupDetail:
+          ++stats.nodes_rejected_detail;
+          break;
+        default:
+          break;
+      }
+      if (eval.satisfied) ++stats.nodes_satisfied;
+      // Replayed once; any further request this run is a plain re-request
+      // and must not recount, so it goes to the skip-semantics cache.
+      sweeper_.cache_->Insert(key, eval);
+      if (trace != nullptr) RecordEvalEvent(key, "replay", eval, trace_start);
+      sweeper_.TickCheckpoint();
+      return eval;
+    }
+  }
+  NodeEvaluation hit;
+  if (sweeper_.cache_->Lookup(key, &hit)) {
+    // Already evaluated (and counted) once in this run — re-serve the
+    // verdict for free, still honoring deadline/cancellation.
+    PSK_RETURN_IF_ERROR(TickReplay());
+    ++stats.nodes_cache_hits;
+    if (trace != nullptr) RecordEvalEvent(key, "cache", hit, trace_start);
+    return hit;
+  }
+  ++stats.nodes_cache_misses;
+  PSK_ASSIGN_OR_RETURN(NodeEvaluation eval, EvaluateEncoded(node));
+  // Completed verdicts enter the snapshot so the next checkpoint persists
+  // them; a budget stop inside the body never reaches here, keeping the
+  // snapshot free of half-finished evaluations.
+  sweeper_.cache_->Insert(key, eval);
+  if (trace != nullptr) RecordEvalEvent(key, "encoded", eval, trace_start);
+  if (sweeper_.checkpointing_) {
+    sweeper_.snapshot_.verdicts.emplace(std::move(key), eval);
+  }
+  sweeper_.TickCheckpoint();
+  return eval;
+}
+
+Result<NodeEvaluation> NodeSweeper::Lane::EvaluateEncoded(
+    const LatticeNode& node) {
+  // Torture seam: a hard error in the middle of a sweep, after earlier
+  // nodes did real work (SearchOptions::failure_stats must keep it).
+  PSK_FAIL_POINT("algorithms.node.evaluate");
+  const SearchOptions& options = sweeper_.options_;
+  const EncodedTable& encoded = *sweeper_.encoded_;
+  // Budget checkpoint: every node evaluation groups the whole table, so
+  // the node is the natural unit of work to account.
+  PSK_RETURN_IF_ERROR(
+      sweeper_.enforcer_->Charge(1, sweeper_.im_.num_rows()));
+  ++stats.nodes_generalized;
+  // Fine decomposition axis: grant the group-by its row workers, resolved
+  // against the pool's current fair share so a saturated pool degrades to
+  // the sequential path instead of queueing. Verdicts are identical at
+  // any lane count (GroupByCodesSliced is bit-identical to sequential).
+  ws_.min_rows_per_slice = options.min_rows_per_slice;
+  ws_.row_workers = row_workers <= 1
+                        ? 1
+                        : ThreadPool::Shared().FairShareWorkers(row_workers);
+  PSK_RETURN_IF_ERROR(encoded.GroupByNode(node, &ws_));
+  // GroupByCodes scratch memory seam: charge only growth (the buffers are
+  // reused across evaluations, so this settles after warm-up). Exceeding
+  // the hard limit here surfaces as kResourceExhausted — a budget stop
+  // the sweep absorbs into a best-so-far partial result.
+  PSK_RETURN_IF_ERROR(scratch_reservation_.Resize(ws_.ApproxBytes()));
+  const EncodedGroups& groups = ws_.groups;
+
+  NodeEvaluation eval;
+  // k-anonymity gate: suppression may remove at most TS tuples.
+  size_t violating = groups.RowsInGroupsSmallerThan(options.k);
+  eval.suppressed = violating;
+  if (violating > options.max_suppression) {
+    eval.stage = CheckStage::kKAnonymity;
+    ++stats.nodes_rejected_kanonymity;
+    return eval;
+  }
+
+  // Surviving groups form the masked microdata.
+  size_t num_groups = groups.GroupsAtLeast(options.k);
+  eval.num_groups = num_groups;
+
+  if (options.p >= 2) {
+    // Condition 2 on the *post-suppression* group count. (Algorithm 3 as
+    // printed counts groups before suppression; suppression can only
+    // remove whole groups, so the post-suppression count is tighter and
+    // still sound against the IM-level maxGroups bound of Theorem 2.)
+    if (options.use_conditions &&
+        static_cast<uint64_t>(num_groups) > sweeper_.max_groups_) {
+      eval.stage = CheckStage::kCondition2;
+      ++stats.nodes_pruned_condition2;
+      return eval;
+    }
+    // Counting-sort distinct scan over surviving groups, stopping at the
+    // first group with fewer than p distinct values in some column.
+    if (!IsPSensitiveEncoded(groups, encoded, options.p, options.k,
+                             &distinct_scratch_)) {
+      eval.stage = CheckStage::kGroupDetail;
+      ++stats.nodes_rejected_detail;
+      return eval;
+    }
+  }
+
+  eval.satisfied = true;
+  eval.stage = CheckStage::kPassed;
+  ++stats.nodes_satisfied;
+  return eval;
+}
+
+NodeSweeper::NodeSweeper(const Table& initial_microdata,
+                         const HierarchySet& hierarchies,
+                         SearchOptions options)
     : im_(initial_microdata),
       hierarchies_(hierarchies),
-      options_(options) {}
+      options_(std::move(options)) {}
 
-Status NodeEvaluator::Init() {
+NodeSweeper::~NodeSweeper() = default;
+
+Status NodeSweeper::Init() {
   if (options_.k < 1) return Status::InvalidArgument("k must be >= 1");
   if (options_.p < 1) return Status::InvalidArgument("p must be >= 1");
   if (options_.p > options_.k) {
@@ -146,28 +358,30 @@ Status NodeEvaluator::Init() {
     return Status::FailedPrecondition(
         "the schema declares no key (quasi-identifier) attributes");
   }
-  // Build the dictionary-encoded evaluation core unless the owner shared
-  // one. A failed build (a value some hierarchy cannot generalize) is the
-  // search's error.
-  if (encoded_ == nullptr) {
+  if (options_.p >= 2 && im_.schema().ConfidentialIndices().empty()) {
+    return Status::FailedPrecondition(
+        "p >= 2 requires at least one confidential attribute");
+  }
+
+  // Encode the table once and share it across lanes — the encoding is
+  // immutable after Build, so concurrent GroupByNode calls (each with a
+  // per-lane workspace) are race-free. A failed build is the search's
+  // error.
+  {
+    TraceSpan span(options_.trace, "encode");
     PSK_ASSIGN_OR_RETURN(EncodedTable built,
                          EncodedTable::Build(im_, hierarchies_));
     encoded_ = std::make_shared<const EncodedTable>(std::move(built));
-    // EncodedTable::Build memory seam (self-built path; a shared table is
-    // charged by its owner, the NodeSweeper). A rejected charge fails
-    // Init with kResourceExhausted, which the fallback chain treats like
-    // any other exhausted budget.
-    PSK_RETURN_IF_ERROR(encoded_reservation_.Reserve(
-        options_.budget.memory, encoded_->ApproxBytes()));
+    span.Attr("path", "encoded");
+    span.Counter("rows", im_.num_rows());
   }
-  // Attach the scratch-growth accountant (no-op without a memory budget);
-  // EvaluateEncoded delta-resizes it as the group-by buffers grow.
-  PSK_RETURN_IF_ERROR(scratch_reservation_.Reserve(options_.budget.memory, 0));
+  // EncodedTable::Build memory seam: one charge for the whole search. A
+  // rejected charge fails Init with kResourceExhausted before any node is
+  // evaluated — the fallback chain decides what runs instead.
+  PSK_RETURN_IF_ERROR(encoded_reservation_.Reserve(options_.budget.memory,
+                                                   encoded_->ApproxBytes()));
+
   if (options_.p >= 2) {
-    if (im_.schema().ConfidentialIndices().empty()) {
-      return Status::FailedPrecondition(
-          "p >= 2 requires at least one confidential attribute");
-    }
     // Theorems 1 and 2: bounds computed on the initial microdata are valid
     // for every masked microdata derived by generalization + suppression.
     // The encoded overload counts over dictionary codes and yields the
@@ -180,38 +394,61 @@ Status NodeEvaluator::Init() {
       PSK_ASSIGN_OR_RETURN(max_groups_, stats.MaxGroups(options_.p));
     }
   }
-  if (enforcer_ == nullptr) {
-    enforcer_ = std::make_shared<BudgetEnforcer>(options_.budget);
+
+  enforcer_ = std::make_shared<BudgetEnforcer>(options_.budget);
+  // An externally owned cache (SearchOptions::verdict_cache) lets a
+  // scheduler watch bytes_used() and Shrink() the cache mid-run; a
+  // private cache is wired to the job's memory budget here so its
+  // inserts are accounted either way.
+  cache_ = options_.verdict_cache;
+  if (cache_ == nullptr) {
+    cache_ = std::make_shared<VerdictCache>();
+    if (options_.budget.memory != nullptr) {
+      cache_->set_memory_budget(options_.budget.memory);
+    }
   }
+
+  // Checkpointed runs stay sequential: the snapshot has one owner, and
+  // resume's deterministic-replay guarantee forbids non-deterministic
+  // shard interleaving.
   checkpointing_ =
       options_.restore != nullptr || options_.checkpoint_sink != nullptr;
   if (options_.restore != nullptr) snapshot_ = *options_.restore;
-  initialized_ = true;
+  size_t num_lanes =
+      checkpointing_ ? 1 : std::max<size_t>(options_.threads, 1);
+  lanes_.clear();
+  for (size_t l = 0; l < num_lanes; ++l) {
+    lanes_.push_back(std::make_unique<Lane>(*this));
+    PSK_RETURN_IF_ERROR(lanes_.back()->Init());
+  }
+  // Lane 0's direct evaluations (Evaluate, narrow sweeps) run on the
+  // control thread, so they may use the fine axis; SweepNodes lowers the
+  // cap to 1 around its pool regions.
+  lanes_.front()->row_workers = num_lanes;
   return Status::OK();
 }
 
-bool NodeEvaluator::LookupFact(const std::string& key, bool* value) const {
+Result<NodeEvaluation> NodeSweeper::Evaluate(const LatticeNode& node) {
+  return lanes_.front()->Evaluate(node);
+}
+
+SearchStats* NodeSweeper::mutable_stats() { return &lanes_.front()->stats; }
+
+bool NodeSweeper::LookupFact(const std::string& key, bool* value) const {
   auto it = snapshot_.facts.find(key);
   if (it == snapshot_.facts.end()) return false;
   *value = it->second;
   return true;
 }
 
-void NodeEvaluator::RecordFact(const std::string& key, bool value) {
+void NodeSweeper::RecordFact(const std::string& key, bool value) {
   if (!checkpointing_) return;
   snapshot_.facts[key] = value;
 }
 
-Status NodeEvaluator::TickReplay() {
-  ++stats_.replay_ticks;
-  if (++replay_hits_since_check_ < kReplayCheckInterval) return Status::OK();
-  replay_hits_since_check_ = 0;
-  // Deadline/cancellation only — a fast-forward costs no real work, so the
-  // node/row budget is not charged.
-  return enforcer_->Check();
-}
+Status NodeSweeper::TickReplay() { return lanes_.front()->TickReplay(); }
 
-void NodeEvaluator::TickCheckpoint() {
+void NodeSweeper::TickCheckpoint() {
   if (options_.checkpoint_sink == nullptr) return;
   if (++ticks_since_checkpoint_ < std::max<uint64_t>(
           options_.checkpoint_interval, 1)) {
@@ -220,179 +457,18 @@ void NodeEvaluator::TickCheckpoint() {
   FlushCheckpoint();
 }
 
-void NodeEvaluator::FlushCheckpoint() {
+void NodeSweeper::FlushCheckpoint() {
   if (options_.checkpoint_sink == nullptr) return;
   ticks_since_checkpoint_ = 0;
-  // Checkpointing forces a single sequential worker, so this always runs
+  // Checkpointing forces a single sequential lane, so this always runs
   // on the control thread and may open spans on the trace directly.
-  TraceSpan span(trace_, "checkpoint_io");
+  TraceSpan span(options_.trace, "checkpoint_io");
   span.Counter("verdicts", snapshot_.verdicts.size());
   span.Counter("facts", snapshot_.facts.size());
   options_.checkpoint_sink(snapshot_);
 }
 
-void NodeEvaluator::RecordEvalEvent(const std::string& key, const char* path,
-                                    const NodeEvaluation& eval,
-                                    int64_t start_ns) {
-  TraceEvent event;
-  event.name = "eval";
-  event.order_key = key;
-  event.start_ns = start_ns;
-  event.duration_ns = trace_->NowNs() - start_ns;
-  event.attrs.emplace_back("node", key);
-  event.attrs.emplace_back("path", path);
-  event.attrs.emplace_back("stage", CheckStageName(eval.stage));
-  trace_buffer_->Record(std::move(event));
-}
-
-Result<NodeEvaluation> NodeEvaluator::Evaluate(const LatticeNode& node) {
-  if (!initialized_) {
-    return Status::FailedPrecondition("NodeEvaluator::Init was not called");
-  }
-  if (!condition1_holds_) {
-    return Status::FailedPrecondition(
-        "Condition 1 fails for the requested p; no node can satisfy it");
-  }
-  std::string key;
-  if (checkpointing_ || cache_ != nullptr || trace_buffer_ != nullptr) {
-    key = SnapshotNodeKey(node);
-  }
-  int64_t trace_start = trace_buffer_ != nullptr ? trace_->NowNs() : 0;
-  if (checkpointing_) {
-    auto cached = snapshot_.verdicts.find(key);
-    if (cached != snapshot_.verdicts.end()) {
-      // Resume fast-forward: recount the stored verdict into the stats
-      // exactly as the original evaluation did, so a resumed run finishes
-      // with the same counters as an uninterrupted one. No budget charge —
-      // no table was generalized — but deadline and cancellation are still
-      // polled so a replay of a large snapshot can be stopped.
-      PSK_RETURN_IF_ERROR(TickReplay());
-      const NodeEvaluation& eval = cached->second;
-      ++stats_.nodes_generalized;
-      // Recount the cache miss the original evaluation made, so the
-      // resumed run's totals converge on the uninterrupted run's.
-      if (cache_ != nullptr) ++stats_.nodes_cache_misses;
-      switch (eval.stage) {
-        case CheckStage::kKAnonymity:
-          ++stats_.nodes_rejected_kanonymity;
-          break;
-        case CheckStage::kCondition2:
-          ++stats_.nodes_pruned_condition2;
-          break;
-        case CheckStage::kGroupDetail:
-          ++stats_.nodes_rejected_detail;
-          break;
-        default:
-          break;
-      }
-      if (eval.satisfied) ++stats_.nodes_satisfied;
-      // Replayed once; any further request this run is a plain re-request
-      // and must not recount, so it goes to the skip-semantics cache.
-      if (cache_ != nullptr) cache_->Insert(key, eval);
-      if (trace_buffer_ != nullptr) {
-        RecordEvalEvent(key, "replay", eval, trace_start);
-      }
-      TickCheckpoint();
-      return eval;
-    }
-  }
-  if (cache_ != nullptr) {
-    NodeEvaluation hit;
-    if (cache_->Lookup(key, &hit)) {
-      // Already evaluated (and counted) once in this run — re-serve the
-      // verdict for free, still honoring deadline/cancellation.
-      PSK_RETURN_IF_ERROR(TickReplay());
-      ++stats_.nodes_cache_hits;
-      if (trace_buffer_ != nullptr) {
-        RecordEvalEvent(key, "cache", hit, trace_start);
-      }
-      return hit;
-    }
-    ++stats_.nodes_cache_misses;
-  }
-  Result<NodeEvaluation> body = EvaluateEncoded(node);
-  if (!body.ok()) return body.status();
-  // Completed verdicts enter the snapshot so the next checkpoint persists
-  // them; a budget stop inside the body never reaches here, keeping the
-  // snapshot free of half-finished evaluations.
-  NodeEvaluation eval = *body;
-  if (cache_ != nullptr) cache_->Insert(key, eval);
-  if (trace_buffer_ != nullptr) {
-    RecordEvalEvent(key, "encoded", eval, trace_start);
-  }
-  if (checkpointing_) snapshot_.verdicts.emplace(std::move(key), eval);
-  TickCheckpoint();
-  return eval;
-}
-
-Result<NodeEvaluation> NodeEvaluator::EvaluateEncoded(
-    const LatticeNode& node) {
-  // Torture seam: a hard error in the middle of a sweep, after earlier
-  // nodes did real work (SearchOptions::failure_stats must keep it).
-  PSK_FAIL_POINT("algorithms.node.evaluate");
-  // Budget checkpoint: every node evaluation groups the whole table, so
-  // the node is the natural unit of work to account.
-  PSK_RETURN_IF_ERROR(enforcer_->Charge(1, im_.num_rows()));
-  ++stats_.nodes_generalized;
-  // Fine decomposition axis: grant the group-by its row workers, resolved
-  // against the pool's current fair share so a saturated pool degrades to
-  // the sequential path instead of queueing. Verdicts are identical at
-  // any lane count (GroupByCodesSliced is bit-identical to sequential).
-  ws_.min_rows_per_slice = options_.min_rows_per_slice;
-  ws_.row_workers =
-      row_worker_cap_ <= 1
-          ? 1
-          : ThreadPool::Shared().FairShareWorkers(row_worker_cap_);
-  PSK_RETURN_IF_ERROR(encoded_->GroupByNode(node, &ws_));
-  // GroupByCodes scratch memory seam: charge only growth (the buffers are
-  // reused across evaluations, so this settles after warm-up). Exceeding
-  // the hard limit here surfaces as kResourceExhausted — a budget stop
-  // the sweep absorbs into a best-so-far partial result.
-  PSK_RETURN_IF_ERROR(scratch_reservation_.Resize(ws_.ApproxBytes()));
-  const EncodedGroups& groups = ws_.groups;
-
-  NodeEvaluation eval;
-  // k-anonymity gate: suppression may remove at most TS tuples.
-  size_t violating = groups.RowsInGroupsSmallerThan(options_.k);
-  eval.suppressed = violating;
-  if (violating > options_.max_suppression) {
-    eval.stage = CheckStage::kKAnonymity;
-    ++stats_.nodes_rejected_kanonymity;
-    return eval;
-  }
-
-  // Surviving groups form the masked microdata.
-  size_t num_groups = groups.GroupsAtLeast(options_.k);
-  eval.num_groups = num_groups;
-
-  if (options_.p >= 2) {
-    // Condition 2 on the *post-suppression* group count. (Algorithm 3 as
-    // printed counts groups before suppression; suppression can only
-    // remove whole groups, so the post-suppression count is tighter and
-    // still sound against the IM-level maxGroups bound of Theorem 2.)
-    if (options_.use_conditions &&
-        static_cast<uint64_t>(num_groups) > max_groups_) {
-      eval.stage = CheckStage::kCondition2;
-      ++stats_.nodes_pruned_condition2;
-      return eval;
-    }
-    // Counting-sort distinct scan over surviving groups, stopping at the
-    // first group with fewer than p distinct values in some column.
-    if (!IsPSensitiveEncoded(groups, *encoded_, options_.p, options_.k,
-                             &distinct_scratch_)) {
-      eval.stage = CheckStage::kGroupDetail;
-      ++stats_.nodes_rejected_detail;
-      return eval;
-    }
-  }
-
-  eval.satisfied = true;
-  eval.stage = CheckStage::kPassed;
-  ++stats_.nodes_satisfied;
-  return eval;
-}
-
-Result<MaskedMicrodata> NodeEvaluator::Materialize(
+Result<MaskedMicrodata> NodeSweeper::Materialize(
     const LatticeNode& node) const {
   // Decode exactly once from the code vectors; byte-identical to Mask
   // (same memoized generalization, same row order).
@@ -400,101 +476,12 @@ Result<MaskedMicrodata> NodeEvaluator::Materialize(
   return DecodeMasked(*encoded_, node, options_.k, &ws);
 }
 
-NodeSweeper::NodeSweeper(const Table& initial_microdata,
-                         const HierarchySet& hierarchies,
-                         SearchOptions options)
-    : im_(initial_microdata),
-      hierarchies_(hierarchies),
-      options_(std::move(options)) {}
-
-Status NodeSweeper::Init() {
-  // Checkpointed runs stay sequential: the snapshot is accumulated by one
-  // evaluator, and resume's deterministic-replay guarantee forbids
-  // non-deterministic shard interleaving.
-  bool checkpointed = options_.restore != nullptr ||
-                      options_.checkpoint_sink != nullptr;
-  size_t num_workers =
-      (checkpointed || options_.threads <= 1) ? 1 : options_.threads;
-
-  // An externally owned cache (SearchOptions::verdict_cache) lets a
-  // scheduler watch bytes_used() and Shrink() the cache mid-run; a
-  // private cache is wired to the job's memory budget here so its
-  // inserts are accounted either way.
-  std::shared_ptr<VerdictCache> cache = options_.verdict_cache;
-  if (cache == nullptr) {
-    cache = std::make_shared<VerdictCache>();
-    if (options_.budget.memory != nullptr) {
-      cache->set_memory_budget(options_.budget.memory);
-    }
-  }
-  workers_.clear();
-  workers_.reserve(num_workers);
-  // Sized once up front: workers capture pointers into this vector, so it
-  // must never reallocate after the first set_trace.
-  trace_buffers_.clear();
-  if (options_.trace != nullptr) trace_buffers_.resize(num_workers);
-
-  // Encode the table once and share it across workers — the encoding is
-  // immutable after Build, so concurrent GroupByNode calls (each with a
-  // per-worker workspace) are race-free. A failed build is the search's
-  // error.
-  std::shared_ptr<const EncodedTable> encoded;
-  {
-    TraceSpan span(options_.trace, "encode");
-    Result<EncodedTable> built = EncodedTable::Build(im_, hierarchies_);
-    if (!built.ok()) return built.status();
-    encoded = std::make_shared<const EncodedTable>(std::move(*built));
-    span.Attr("path", "encoded");
-    span.Counter("rows", im_.num_rows());
-  }
-  // EncodedTable::Build memory seam: one charge for the whole sweep (every
-  // worker shares the same immutable encoding). A rejected charge fails
-  // Init with kResourceExhausted before any node is evaluated — the
-  // fallback chain decides what runs instead.
-  PSK_RETURN_IF_ERROR(encoded_reservation_.Reserve(
-      options_.budget.memory, encoded->ApproxBytes()));
-
-  workers_.push_back(
-      std::make_unique<NodeEvaluator>(im_, hierarchies_, options_));
-  workers_.front()->set_verdict_cache(cache);
-  workers_.front()->set_encoded_table(encoded);
-  if (options_.trace != nullptr) {
-    workers_.front()->set_trace(options_.trace, &trace_buffers_[0]);
-  }
-  PSK_RETURN_IF_ERROR(workers_.front()->Init());
-  if (num_workers > 1) {
-    // Direct primary() evaluations (e.g. OLA's per-node probes) run on
-    // the control thread between sweeps, so they may use the fine axis
-    // by default; SweepNodes lowers the cap to 1 around its pool regions.
-    workers_.front()->set_row_workers(num_workers);
-  }
-
-  // Secondary workers share the primary's enforcer (limits stay global)
-  // and cache; they never checkpoint (num_workers > 1 implies
-  // checkpointing is off, but clear the hooks anyway for belt and braces).
-  SearchOptions worker_options = options_;
-  worker_options.restore = nullptr;
-  worker_options.checkpoint_sink = nullptr;
-  for (size_t w = 1; w < num_workers; ++w) {
-    workers_.push_back(
-        std::make_unique<NodeEvaluator>(im_, hierarchies_, worker_options));
-    workers_.back()->set_enforcer(workers_.front()->enforcer());
-    workers_.back()->set_verdict_cache(cache);
-    workers_.back()->set_encoded_table(encoded);
-    if (options_.trace != nullptr) {
-      workers_.back()->set_trace(options_.trace, &trace_buffers_[w]);
-    }
-    PSK_RETURN_IF_ERROR(workers_.back()->Init());
-  }
-  return Status::OK();
-}
-
 Status NodeSweeper::Sweep(const std::vector<LatticeNode>& nodes,
                           std::vector<std::optional<NodeEvaluation>>* evals) {
   RunTrace* trace = options_.trace;
   if (trace == nullptr) return SweepNodes(nodes, evals);
 
-  // Events still pending from direct primary() evaluations belong to the
+  // Events still pending from direct Evaluate calls belong to the
   // engine's enclosing span, not to this sweep.
   FlushTraceEvents();
   trace->Begin("sweep");
@@ -543,7 +530,7 @@ Status NodeSweeper::SweepNodes(
     const std::vector<LatticeNode>& nodes,
     std::vector<std::optional<NodeEvaluation>>* evals) {
   evals->assign(nodes.size(), std::nullopt);
-  size_t active = std::min(workers_.size(), nodes.size());
+  size_t active = std::min(lanes_.size(), nodes.size());
   // Fair-share: when other sweeps are on the pool, take only an equal
   // split of it. Safe for correctness by the determinism contract (the
   // release and stats are identical for any worker count).
@@ -561,16 +548,13 @@ Status NodeSweeper::SweepNodes(
     // group-by instead. The cap is resolved against the live fair share
     // per evaluation; only a control thread may do this (a nested
     // ParallelFor from a pool task can deadlock).
-    NodeEvaluator& evaluator = *workers_.front();
-    const size_t row_cap = workers_.size() > 1 ? workers_.size() : 1;
-    evaluator.set_row_workers(row_cap);
-    if (trace != nullptr && row_cap > 1) {
-      trace->Timing("row_workers", row_cap);
+    if (trace != nullptr && lanes_.size() > 1) {
+      trace->Timing("row_workers", lanes_.size());
     }
     Status status = Status::OK();
     size_t evaluated = 0;
     for (size_t i = 0; i < nodes.size(); ++i) {
-      Result<NodeEvaluation> eval = evaluator.Evaluate(nodes[i]);
+      Result<NodeEvaluation> eval = Evaluate(nodes[i]);
       if (!eval.ok()) {
         status = eval.status();
         break;
@@ -586,14 +570,14 @@ Status NodeSweeper::SweepNodes(
   // pool dispatch amortizes over >= ~10ms of work. Dynamic scheduling is
   // safe for determinism because every node is evaluated regardless of
   // which worker draws which batch; verdicts land in per-index slots and
-  // counter sums are order-independent. The primary evaluates inside the
+  // counter sums are order-independent. Lane 0 evaluates inside the
   // pool region here, so its row-worker cap must be 1.
-  workers_.front()->set_row_workers(1);
+  lanes_.front()->row_workers = 1;
   const size_t batch = BatchSize(nodes.size(), active);
   const size_t num_batches = (nodes.size() + batch - 1) / batch;
   std::atomic<bool> stop{false};
   std::vector<Status> worker_status(active, Status::OK());
-  // Per-worker busy time; written only by the worker owning the slot.
+  // Per-lane busy time; written only by the lane owning the slot.
   // Measured once per *batch*, so per-task dispatch overhead is counted
   // exactly once per batch rather than accumulating per node.
   std::vector<int64_t> busy_ns(trace != nullptr ? active : 0, 0);
@@ -629,8 +613,7 @@ Status NodeSweeper::SweepNodes(
             stop.store(true, std::memory_order_relaxed);
             break;
           }
-          Result<NodeEvaluation> eval =
-              workers_[worker]->Evaluate(nodes[index]);
+          Result<NodeEvaluation> eval = lanes_[worker]->Evaluate(nodes[index]);
           if (!eval.ok()) {
             if (worker_status[worker].ok()) {
               worker_status[worker] = eval.status();
@@ -646,9 +629,9 @@ Status NodeSweeper::SweepNodes(
           busy_ns[worker] += trace->NowNs() - begin_ns;
         }
       });
-  // Restore the primary's control-thread default for the direct
-  // evaluations engines make between sweeps.
-  workers_.front()->set_row_workers(workers_.size());
+  // Restore lane 0's control-thread default for the direct evaluations
+  // engines make between sweeps.
+  lanes_.front()->row_workers = lanes_.size();
   if (trace != nullptr) {
     for (size_t w = 0; w < busy_ns.size(); ++w) {
       trace->Timing("w" + std::to_string(w) + "_busy_ns",
@@ -678,9 +661,9 @@ Status NodeSweeper::SweepNodes(
 void NodeSweeper::FlushTraceEvents() {
   if (options_.trace == nullptr) return;
   std::vector<TraceEvent> events;
-  for (TraceEventBuffer& buffer : trace_buffers_) {
-    if (buffer.empty()) continue;
-    std::vector<TraceEvent> drained = buffer.Take();
+  for (const std::unique_ptr<Lane>& lane : lanes_) {
+    if (lane->trace_buffer.empty()) continue;
+    std::vector<TraceEvent> drained = lane->trace_buffer.Take();
     events.insert(events.end(), std::make_move_iterator(drained.begin()),
                   std::make_move_iterator(drained.end()));
   }
@@ -689,7 +672,7 @@ void NodeSweeper::FlushTraceEvents() {
 
 SearchStats NodeSweeper::MergedStats() const {
   SearchStats merged;
-  for (const auto& worker : workers_) merged.Add(worker->stats());
+  for (const std::unique_ptr<Lane>& lane : lanes_) merged.Add(lane->stats);
   return merged;
 }
 

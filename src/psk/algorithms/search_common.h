@@ -57,8 +57,8 @@ struct SearchSnapshot {
 /// Snapshot key of a lattice node: its levels joined with ',' ("1,0,2").
 std::string SnapshotNodeKey(const LatticeNode& node);
 
-/// Thread-safe in-memory verdict cache, shared by every NodeEvaluator of
-/// one search (all workers of a parallel sweep, and every phase of a
+/// Thread-safe in-memory verdict cache, shared by every lane of one
+/// NodeSweeper (all lanes of a parallel sweep, and every phase of a
 /// multi-phase engine). A verdict is a pure function of (initial
 /// microdata, hierarchies, k, p, TS), so once any worker has evaluated a
 /// node, no other request in the same search ever generalizes the table
@@ -187,7 +187,7 @@ struct SearchOptions {
   /// to force slicing on small fixtures.
   size_t min_rows_per_slice = 1024;
   /// Externally owned verdict cache. When set, NodeSweeper shares this
-  /// cache across its workers instead of creating a private one — the
+  /// cache across its lanes instead of creating a private one — the
   /// seam a scheduler uses to keep a handle on a job's cache so it can
   /// read bytes_used() and Shrink() it mid-run (degradation ladder). The
   /// owner decides the eviction cap and the memory budget; when unset, a
@@ -308,101 +308,95 @@ const char* CheckStageName(CheckStage stage);
 /// `trace`. No-op when trace is null.
 void RecordStatsCounters(RunTrace* trace, const SearchStats& stats);
 
-/// Evaluates lattice nodes against a fixed initial microdata: generalize,
-/// suppress up to TS, then test p-sensitive k-anonymity, with Condition 1
-/// checked once up front and Condition 2 applied per node (Theorems 1-2
-/// justify computing both bounds on the initial microdata only). Every
-/// evaluation runs on the dictionary-encoded core (EncodedTable): grouping
-/// and the distinct-confidential scan work over dense integer codes, and
-/// no generalized Table is materialized per node.
+/// The one search object of every lattice engine: it evaluates lattice
+/// nodes against a fixed initial microdata — generalize, suppress up to TS,
+/// then test p-sensitive k-anonymity — sequentially or over parallel
+/// lanes. Init makes every per-search decision exactly once: the argument
+/// checks, the dictionary encoding (EncodedTable) and its memory charge,
+/// the Condition 1/2 bounds (Theorems 1-2 justify computing both on the
+/// initial microdata only), the shared BudgetEnforcer and VerdictCache,
+/// and the lane count. Grouping and the distinct-confidential scan work
+/// over dense integer codes; no generalized Table is materialized per
+/// node. All engines share this component so that their work counters are
+/// comparable.
 ///
-/// All searches in this library share this component so that their work
-/// counters are comparable.
-class NodeEvaluator {
+/// Lanes are internal: each owns only its scratch, row-worker cap, stats
+/// and trace buffer, and reads everything else from the sweeper. Lane 0
+/// serves the control thread (Evaluate, engine-level counters); all lanes
+/// share one enforcer (limits stay global) and one VerdictCache (no node
+/// is generalized twice in a search, regardless of which lane or phase
+/// asks).
+///
+/// Determinism contract: Sweep evaluates *every* node it is given (no
+/// early exit), so the set of evaluated nodes — and therefore the merged
+/// SearchStats and the engine's release — is identical for every thread
+/// count. Engines that want early exit batch their nodes into fixed-size
+/// chunks (independent of the thread count) and stop between chunks.
+/// Checkpointed runs (restore / checkpoint_sink set) get exactly one lane,
+/// preserving the sequential deterministic-replay guarantee and giving the
+/// snapshot a single owner.
+///
+/// Work decomposition (two axes, chosen per sweep): normally nodes are
+/// grouped into per-task batches sized by measured throughput (coarse
+/// axis, >= ~10ms of work per pool task so dispatch amortizes); when a
+/// sweep has fewer nodes than lanes, the sweep instead runs nodes
+/// sequentially on lane 0 and parallelizes *inside* each node's group-by
+/// by row range (fine axis, see GroupByCodesSliced). Both axes preserve
+/// the contract — batch size and slice count never change any verdict or
+/// merged counter.
+class NodeSweeper {
  public:
-  /// `initial_microdata` and `hierarchies` must outlive the evaluator.
-  NodeEvaluator(const Table& initial_microdata,
-                const HierarchySet& hierarchies, SearchOptions options);
+  /// `initial_microdata` and `hierarchies` must outlive the sweeper.
+  NodeSweeper(const Table& initial_microdata, const HierarchySet& hierarchies,
+              SearchOptions options);
+  ~NodeSweeper();
 
-  /// Encodes the initial microdata (unless a table was shared) and
-  /// computes the Condition 1/2 bounds. Must be called before Evaluate.
-  /// Fails when the schema lacks key or confidential attributes
-  /// (confidential required only when p >= 2), and with EncodedTable::
-  /// Build's own status when the table cannot be encoded (a QI value some
-  /// hierarchy does not generalize).
+  /// Must be called before anything else. Fails when k < 1, p < 1 or
+  /// p > k, when the schema lacks key attributes (or confidential ones,
+  /// required only when p >= 2), with EncodedTable::Build's own status
+  /// when the table cannot be encoded (a QI value some hierarchy does not
+  /// generalize), and with kResourceExhausted when the memory budget
+  /// rejects the encoding.
   Status Init();
-
-  /// Shares a budget accountant across evaluators (the threaded exhaustive
-  /// sweep gives all shards one enforcer so every limit is global). Must
-  /// be called before Init; when absent, Init creates a private enforcer
-  /// from options().budget.
-  void set_enforcer(std::shared_ptr<BudgetEnforcer> enforcer) {
-    enforcer_ = std::move(enforcer);
-  }
-  const std::shared_ptr<BudgetEnforcer>& enforcer() const {
-    return enforcer_;
-  }
-
-  /// Shares an in-memory verdict cache across evaluators (all workers of a
-  /// parallel sweep, all phases of one engine). May be set any time before
-  /// the first Evaluate. A cached node is re-served without generalizing
-  /// the table, without charging the budget, counting only
-  /// SearchStats::nodes_cache_hits.
-  void set_verdict_cache(std::shared_ptr<VerdictCache> cache) {
-    cache_ = std::move(cache);
-  }
-  const std::shared_ptr<VerdictCache>& verdict_cache() const {
-    return cache_;
-  }
-
-  /// Shares a prebuilt encoded table across evaluators (NodeSweeper
-  /// encodes once and hands the same immutable EncodedTable to every
-  /// worker). Must be called before Init; without it, Init builds one.
-  void set_encoded_table(std::shared_ptr<const EncodedTable> encoded) {
-    encoded_ = std::move(encoded);
-  }
-  /// The encoded core this evaluator runs on (valid after Init).
-  const std::shared_ptr<const EncodedTable>& encoded_table() const {
-    return encoded_;
-  }
-
-  /// Attaches run tracing: every completed Evaluate records one TraceEvent
-  /// (node key, how it was resolved, verdict stage) into `buffer`, and checkpoint
-  /// flushes open "checkpoint_io" spans on `trace`. The buffer is
-  /// per-worker and written without locks — the owner (NodeSweeper or the
-  /// engine) merges it into `trace` at span boundaries. Both pointers must
-  /// outlive the evaluator; pass nullptrs (the default state) to disable.
-  void set_trace(RunTrace* trace, TraceEventBuffer* buffer) {
-    trace_ = trace;
-    trace_buffer_ = buffer;
-  }
-  RunTrace* trace() const { return trace_; }
-
-  /// Caps the intra-node row parallelism (fine decomposition axis) of
-  /// evaluations: each group-by may fan out over up to `cap` pool
-  /// lanes via GroupByCodesSliced, subject to the fair share at call time
-  /// and options().min_rows_per_slice. MUST stay 1 (the default) on any
-  /// evaluator whose Evaluate runs inside a ThreadPool task — a nested
-  /// ParallelFor can deadlock the pool — so NodeSweeper grants a cap only
-  /// to the primary, and only while no coarse sweep region is active.
-  /// Verdicts and stats are identical at any cap.
-  void set_row_workers(size_t cap) { row_worker_cap_ = cap; }
-  size_t row_workers() const { return row_worker_cap_; }
 
   /// True iff Condition 1 admits the requested p. When false, no node can
   /// ever satisfy the property and searches should report failure
   /// immediately.
   bool Condition1Holds() const { return condition1_holds_; }
-
   size_t max_p() const { return max_p_; }
   uint64_t max_groups() const { return max_groups_; }
 
-  /// Evaluates one node, updating stats(). When checkpointing is active
-  /// (options().restore or options().checkpoint_sink set), a node already
-  /// present in the snapshot is resolved from it — its counters recounted
-  /// identically, the budget not charged — and fresh verdicts are recorded
-  /// into the snapshot for the next checkpoint.
+  /// The encoded core every lane runs on.
+  const std::shared_ptr<const EncodedTable>& encoded_table() const {
+    return encoded_;
+  }
+  /// The budget accountant every lane charges (engines charge work that
+  /// bypasses Evaluate — Incognito's subset checks — directly).
+  const std::shared_ptr<BudgetEnforcer>& enforcer() const {
+    return enforcer_;
+  }
+  /// Parallel lanes of this search: 1 when checkpointing, else
+  /// options.threads (at least 1). Engines that shard their own work over
+  /// the pool size it by this.
+  size_t lanes() const { return lanes_.size(); }
+
+  /// Evaluates one node on lane 0, from the control thread (between
+  /// sweeps), updating mutable_stats(). Its group-by may row-slice over
+  /// lanes() pool lanes. When checkpointing is active, a node already in
+  /// the snapshot is resolved from it — its counters recounted
+  /// identically, the budget not charged — and fresh verdicts are
+  /// recorded into the snapshot for the next checkpoint.
   Result<NodeEvaluation> Evaluate(const LatticeNode& node);
+
+  /// Evaluates every node, writing per-node verdicts into (*evals)[i]
+  /// (nullopt = not evaluated because the sweep stopped early). Returns:
+  ///  - OK when every node was evaluated;
+  ///  - the budget-stop status when a shared limit tripped mid-sweep (the
+  ///    caller decides whether to absorb it via AbsorbBudgetStop);
+  ///  - otherwise the first hard error by lane order. Lane stats are never
+  ///    lost on any path: they are all merged by MergedStats.
+  Status Sweep(const std::vector<LatticeNode>& nodes,
+               std::vector<std::optional<NodeEvaluation>>* evals);
 
   /// Engine-specific snapshot facts (e.g. Incognito's subset verdicts).
   /// Only meaningful while checkpointing is active; LookupFact always
@@ -410,14 +404,14 @@ class NodeEvaluator {
   bool LookupFact(const std::string& key, bool* value) const;
   void RecordFact(const std::string& key, bool value);
 
-  /// Counts one budget-free fast-forward (a snapshot replay hit or a
-  /// VerdictCache hit) and polls BudgetEnforcer::Check() every
-  /// kReplayCheckInterval hits — without charging node/row budget — so a
-  /// resume replaying a large snapshot still honors its deadline and can
-  /// be cancelled before the first uncached node. Evaluate calls this on
-  /// its own hit paths; engines call it for fast-forwards that bypass
-  /// Evaluate (Incognito's subset facts). A non-OK status is a budget stop
-  /// to absorb (or a hard enforcer error to propagate).
+  /// Counts one budget-free fast-forward on lane 0 and polls
+  /// BudgetEnforcer::Check() every kReplayCheckInterval of them — without
+  /// charging node/row budget — so a resume replaying a large snapshot
+  /// still honors its deadline and can be cancelled before the first
+  /// uncached node. Evaluate does this on its own snapshot and cache hit
+  /// paths; engines call it for fast-forwards that bypass Evaluate
+  /// (Incognito's subset facts). A non-OK status is a budget stop to
+  /// absorb (or a hard enforcer error to propagate).
   Status TickReplay();
 
   /// Fast-forwards between budget polls in TickReplay. Small enough that
@@ -426,7 +420,7 @@ class NodeEvaluator {
   static constexpr uint64_t kReplayCheckInterval = 32;
 
   /// Counts one completed unit of search work toward the checkpoint
-  /// cadence, invoking options().checkpoint_sink when due. Evaluate calls
+  /// cadence, invoking options.checkpoint_sink when due. Evaluate calls
   /// this itself; engines call it for work units that bypass Evaluate.
   void TickCheckpoint();
   /// Invokes the sink immediately (engines call this at coarse boundaries
@@ -434,139 +428,41 @@ class NodeEvaluator {
   /// at most one boundary's work).
   void FlushCheckpoint();
 
-  /// The accumulated crash-recovery state (empty unless checkpointing).
-  const SearchSnapshot& snapshot() const { return snapshot_; }
-
   /// Decodes the masked microdata (generalized + suppressed) for a node
   /// from the encoded core — used to materialize the winning node once a
   /// search finishes. Byte-identical to Mask().
   Result<MaskedMicrodata> Materialize(const LatticeNode& node) const;
 
-  const SearchStats& stats() const { return stats_; }
-  SearchStats* mutable_stats() { return &stats_; }
+  /// Lane 0's counters, where engines book their own work (skipped nodes,
+  /// probed heights, subset checks, budget stops).
+  SearchStats* mutable_stats();
 
-  const SearchOptions& options() const { return options_; }
-
- private:
-  /// The charged evaluation body behind Evaluate (cache/checkpoint
-  /// handling lives in Evaluate itself).
-  Result<NodeEvaluation> EvaluateEncoded(const LatticeNode& node);
-
-  /// Records one per-node trace event into trace_buffer_ (caller checked
-  /// it is non-null). `path` is "encoded"/"cache"/"replay".
-  void RecordEvalEvent(const std::string& key, const char* path,
-                       const NodeEvaluation& eval, int64_t start_ns);
-
-  const Table& im_;
-  const HierarchySet& hierarchies_;
-  SearchOptions options_;
-  std::shared_ptr<BudgetEnforcer> enforcer_;
-  std::shared_ptr<VerdictCache> cache_;
-  std::shared_ptr<const EncodedTable> encoded_;
-  /// Per-evaluator scratch (never shared).
-  EncodedWorkspace ws_;
-  EncodedDistinctScratch distinct_scratch_;
-  /// Upper bound on row workers per group-by; resolved to the pool's fair
-  /// share at each evaluation. 1 = sequential (required off the control
-  /// thread).
-  size_t row_worker_cap_ = 1;
-  /// Memory-budget charges: the self-built encoding (only when this
-  /// evaluator built its own — an external one is charged by its owner)
-  /// and the scratch buffers, delta-resized after every encoded
-  /// evaluation. No-ops when options().budget.memory is unset.
-  MemoryReservation encoded_reservation_;
-  MemoryReservation scratch_reservation_;
-  bool initialized_ = false;
-  bool condition1_holds_ = true;
-  size_t max_p_ = 0;
-  uint64_t max_groups_ = 0;
-  SearchStats stats_;
-  /// True when a restore snapshot or a checkpoint sink is configured.
-  bool checkpointing_ = false;
-  SearchSnapshot snapshot_;
-  uint64_t ticks_since_checkpoint_ = 0;
-  uint64_t replay_hits_since_check_ = 0;
-  RunTrace* trace_ = nullptr;
-  TraceEventBuffer* trace_buffer_ = nullptr;
-};
-
-/// Parallel (or sequential) evaluator over batches of independent lattice
-/// nodes — the shared engine room of every lattice search.
-///
-/// A sweeper owns one NodeEvaluator per worker. Worker 0 ("primary") holds
-/// the checkpointing state and is the evaluator engines use for
-/// engine-level bookkeeping (heights_probed, snapshot facts, Materialize).
-/// All workers share the primary's BudgetEnforcer (limits stay global) and
-/// one VerdictCache (no node is generalized twice in a search, regardless
-/// of which worker or phase asks).
-///
-/// Determinism contract: Sweep evaluates *every* node it is given (no
-/// early exit), so the set of evaluated nodes — and therefore the merged
-/// SearchStats and the engine's release — is identical for every thread
-/// count. Engines that want early exit batch their nodes into fixed-size
-/// chunks (independent of the thread count) and stop between chunks.
-/// Checkpointed runs (restore / checkpoint_sink set) get exactly one
-/// worker, preserving the sequential deterministic-replay guarantee.
-///
-/// Work decomposition (two axes, chosen per sweep): normally nodes are
-/// grouped into per-task batches sized by measured throughput (coarse
-/// axis, >= ~10ms of work per pool task so dispatch amortizes); when a
-/// sweep has fewer nodes than workers, the sweep instead runs nodes
-/// sequentially on the primary and parallelizes *inside* each node's
-/// group-by by row range (fine axis, see GroupByCodesSliced). Both axes
-/// preserve the contract — batch size and slice count never change any
-/// verdict or merged counter.
-class NodeSweeper {
- public:
-  /// `initial_microdata` and `hierarchies` must outlive the sweeper.
-  NodeSweeper(const Table& initial_microdata, const HierarchySet& hierarchies,
-              SearchOptions options);
-
-  /// Encodes the table once, then builds and initializes the workers.
-  /// Fails like NodeEvaluator::Init.
-  Status Init();
-
-  /// Worker 0 — the evaluator carrying checkpoint state and engine-level
-  /// counters. Valid after Init.
-  NodeEvaluator& primary() { return *workers_.front(); }
-
-  /// True when Sweep may use more than one worker.
-  bool parallel() const { return workers_.size() > 1; }
-
-  /// Evaluates every node, writing per-node verdicts into (*evals)[i]
-  /// (nullopt = not evaluated because the sweep stopped early). Returns:
-  ///  - OK when every node was evaluated;
-  ///  - the budget-stop status when a shared limit tripped mid-sweep (the
-  ///    caller decides whether to absorb it via AbsorbBudgetStop);
-  ///  - otherwise the first hard error by worker order. Worker stats are
-  ///    never lost on any path: they stay in the worker evaluators and are
-  ///    all merged by MergedStats.
-  Status Sweep(const std::vector<LatticeNode>& nodes,
-               std::vector<std::optional<NodeEvaluation>>* evals);
-
-  /// Work counters summed over every worker (deterministic: per-counter
+  /// Work counters summed over every lane (deterministic: per-counter
   /// sums are order-independent; partial/stop_reason are first-wins in
-  /// worker order).
+  /// lane order).
   SearchStats MergedStats() const;
 
-  /// Records MergedStats into options().failure_stats (when configured)
+  /// Records MergedStats into options.failure_stats (when configured)
   /// and returns `status` — engines route every hard-error return through
   /// this so counters survive failures.
   Status PropagateHardError(Status status) const;
 
-  /// Merges every pending per-worker trace event into the innermost open
-  /// span of options().trace, sorted by node key. Sweep does this on its
+  /// Merges every pending per-lane trace event into the innermost open
+  /// span of options.trace, sorted by node key. Sweep does this on its
   /// own span; engines call it before closing a phase span in which they
-  /// evaluated through primary() directly (no-op without tracing).
+  /// called Evaluate directly (no-op without tracing).
   void FlushTraceEvents();
 
  private:
+  /// One parallel lane (defined in search_common.cc).
+  class Lane;
+
   /// The untraced sweep body (Sweep wraps it in the "sweep" span).
   Status SweepNodes(const std::vector<LatticeNode>& nodes,
                     std::vector<std::optional<NodeEvaluation>>* evals);
 
   /// Nodes per pool task for a sweep of `count` nodes over `active`
-  /// workers (coarse decomposition axis): sized from the measured
+  /// lanes (coarse decomposition axis): sized from the measured
   /// node-evaluation throughput so one task carries >= ~kTargetBatchNs of
   /// work, but never so large that fewer than `active` tasks exist.
   /// Purely a scheduling choice — the set of evaluated nodes and all
@@ -580,20 +476,29 @@ class NodeSweeper {
 
   const Table& im_;
   const HierarchySet& hierarchies_;
-  SearchOptions options_;
-  std::vector<std::unique_ptr<NodeEvaluator>> workers_;
-  /// EWMA of observed per-worker node-evaluation throughput (nodes/sec),
+  const SearchOptions options_;
+  std::shared_ptr<const EncodedTable> encoded_;
+  /// Charge for the encoded table (EncodedTable::Build seam); released
+  /// when the sweeper dies. No-op without a memory budget.
+  MemoryReservation encoded_reservation_;
+  bool condition1_holds_ = true;
+  size_t max_p_ = 0;
+  uint64_t max_groups_ = 0;
+  std::shared_ptr<BudgetEnforcer> enforcer_;
+  std::shared_ptr<VerdictCache> cache_;
+  /// Crash-recovery state, owned here because checkpointing means one
+  /// lane. `checkpointing_` is true when a restore snapshot or a
+  /// checkpoint sink is configured.
+  bool checkpointing_ = false;
+  SearchSnapshot snapshot_;
+  uint64_t ticks_since_checkpoint_ = 0;
+  std::vector<std::unique_ptr<Lane>> lanes_;
+  /// EWMA of observed per-lane node-evaluation throughput (nodes/sec),
   /// fed back into BatchSize after every sweep. Control-thread state: read
-  /// and written only between sweeps, never by workers. 0 until the first
+  /// and written only between sweeps, never by lanes. 0 until the first
   /// sweep completes (first batch defaults to 1 node — per-node dispatch —
   /// and the measurement corrects from there).
   double nodes_per_sec_ = 0;
-  /// Charge for the shared encoded table (EncodedTable::Build seam);
-  /// released when the sweeper dies. No-op without a memory budget.
-  MemoryReservation encoded_reservation_;
-  /// One lock-free event buffer per worker; stable addresses (sized once
-  /// in Init, before the workers capture pointers into it).
-  std::vector<TraceEventBuffer> trace_buffers_;
 };
 
 /// Outcome of a single-solution lattice search (Samarati binary search).

@@ -90,8 +90,8 @@ struct RunBudget {
 /// checkpoint; the first exceeded limit makes every subsequent Charge()
 /// fail, so a search cannot accidentally keep working after a stop.
 ///
-/// One enforcer may be shared by several NodeEvaluators (the threaded
-/// exhaustive sweep), making every limit global across threads.
+/// One enforcer is shared by every lane of a NodeSweeper (the threaded
+/// sweeps), making every limit global across threads.
 class BudgetEnforcer {
  public:
   explicit BudgetEnforcer(RunBudget budget);

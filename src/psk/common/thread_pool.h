@@ -48,7 +48,7 @@ class ThreadPool {
   /// `workers` concurrent workers (clamped to [1, count]). Worker 0 is the
   /// calling thread; workers 1..w-1 are pool threads. Each worker id is
   /// held by exactly one thread at a time, so fn may keep per-worker
-  /// mutable state (e.g. one NodeEvaluator per worker) without locking.
+  /// mutable state (e.g. one sweeper lane per worker) without locking.
   /// Indices are handed out dynamically in increasing order; blocks until
   /// every index has been processed.
   ///

@@ -444,9 +444,7 @@ Result<JobOutcome> JobRunner::Resume(const JobSpec& spec) {
   return outcome;
 }
 
-Result<JobOutcome> JobRunner::Execute(const JobSpec& spec,
-                                      const SearchSnapshot* restore) {
-  uint64_t spec_hash = JobSpecHash(spec);
+Anonymizer MakeJobAnonymizer(const JobSpec& spec) {
   Anonymizer anonymizer(spec.input);
   for (const auto& hierarchy : spec.hierarchies) {
     anonymizer.AddHierarchy(hierarchy);
@@ -457,13 +455,18 @@ Result<JobOutcome> JobRunner::Execute(const JobSpec& spec,
       .set_algorithm(spec.algorithm)
       .set_budget(spec.budget)
       .set_threads(spec.threads)
-      .set_guard_enabled(spec.guard_enabled);
-  if (spec.verdict_cache != nullptr) {
-    anonymizer.set_verdict_cache(spec.verdict_cache);
-  }
+      .set_guard_enabled(spec.guard_enabled)
+      .set_verdict_cache(spec.verdict_cache);
   if (!spec.fallback_chain.empty()) {
     anonymizer.set_fallback_chain(spec.fallback_chain);
   }
+  return anonymizer;
+}
+
+Result<JobOutcome> JobRunner::Execute(const JobSpec& spec,
+                                      const SearchSnapshot* restore) {
+  uint64_t spec_hash = JobSpecHash(spec);
+  Anonymizer anonymizer = MakeJobAnonymizer(spec);
   if (restore != nullptr) {
     anonymizer.set_restore_snapshot(restore);
   }

@@ -63,9 +63,10 @@ struct JobSpec {
   bool guard_enabled = true;
   /// When non-empty, the run is traced (see psk/trace) and the trace JSON
   /// is written atomically to this path after the commit protocol, with
-  /// the commit steps recorded as spans. Pure observability: deliberately
-  /// excluded from JobSpecHash, so a resumed job may add or drop tracing
-  /// without invalidating the journal.
+  /// the commit steps recorded as spans (an in-memory scheduled job has
+  /// no commit steps and writes it when Run returns). Pure observability:
+  /// deliberately excluded from JobSpecHash, so a resumed job may add or
+  /// drop tracing without invalidating the journal.
   std::string trace_path;
   /// Worker threads for the lattice engines' node sweeps. The determinism
   /// contract guarantees byte-identical releases for every value, so this
@@ -100,6 +101,12 @@ uint64_t JobSpecHash(const JobSpec& spec);
 /// the run itself.
 Status MaterializeJobInput(JobSpec* spec,
                            const std::shared_ptr<MemoryBudget>& memory);
+
+/// The Anonymizer a job runs: the spec's input, hierarchies,
+/// requirements, budget, threads, guard, verdict cache and fallback chain.
+/// Callers add what differs per execution path (tracing, checkpoint and
+/// resume hooks).
+Anonymizer MakeJobAnonymizer(const JobSpec& spec);
 
 /// Content digest of a table (FNV-1a over its canonical CSV rendering).
 /// Stored in the journal so Resume() can prove it is looking at the same

@@ -77,6 +77,9 @@ struct SchedulerJob {
   Status final_status = Status::OK();
   AnonymizationReport report;
   bool has_report = false;
+  /// True while a terminal job's spec is being destroyed outside
+  /// State::mu (see ReleaseSpec); Wait holds off until it is gone.
+  bool releasing_spec = false;
 };
 
 struct SchedulerEvent {
@@ -231,21 +234,10 @@ Status RunAttempt(const SchedulerOptions& options, SchedulerJob& job,
   if (job.job_dir.empty()) {
     // In-memory job: no journal, no checkpoints — the retry path simply
     // re-runs (the engines are deterministic).
-    Anonymizer anonymizer(spec.input);
-    for (const auto& hierarchy : spec.hierarchies) {
-      anonymizer.AddHierarchy(hierarchy);
-    }
-    anonymizer.set_k(spec.k)
-        .set_p(spec.p)
-        .set_max_suppression(spec.max_suppression)
-        .set_algorithm(spec.algorithm)
-        .set_budget(spec.budget)
-        .set_threads(spec.threads)
-        .set_guard_enabled(spec.guard_enabled);
-    anonymizer.set_verdict_cache(spec.verdict_cache);
-    if (!spec.fallback_chain.empty()) {
-      anonymizer.set_fallback_chain(spec.fallback_chain);
-    }
+    // With no commit steps to append, the trace (if asked for) goes
+    // straight to the anonymizer's file sink.
+    Anonymizer anonymizer = MakeJobAnonymizer(spec);
+    anonymizer.set_trace_sink(spec.trace_path);
     Result<AnonymizationReport> run = anonymizer.Run();
     if (!run.ok()) return run.status();
     *report = std::move(*run);
@@ -325,6 +317,23 @@ void ResolveAttemptLocked(JobScheduler::State& s,
   s.terminal_cv.notify_all();
 }
 
+/// Frees a terminal job's spec — its input table, hierarchies and source —
+/// so a long-lived scheduler holds only each finished job's report (which
+/// Wait returns). The spec is destroyed with State::mu released, so a
+/// large input never stalls the other executors. `lock` holds State::mu
+/// on entry and on return.
+void ReleaseSpec(JobScheduler::State& s, SchedulerJob& job,
+                 std::unique_lock<std::mutex>& lock) {
+  {
+    JobSpec spent = std::exchange(job.spec, JobSpec{});
+    job.releasing_spec = true;
+    lock.unlock();
+  }
+  lock.lock();
+  job.releasing_spec = false;
+  s.terminal_cv.notify_all();
+}
+
 void ExecutorLoop(std::shared_ptr<JobScheduler::State> state,
                   JobScheduler::State::Slot* slot) {
   std::unique_lock<std::mutex> lock(state->mu);
@@ -369,18 +378,22 @@ void ExecutorLoop(std::shared_ptr<JobScheduler::State> state,
     if (slot->abandoned) {
       // The watchdog hard-cancelled this job, forced it terminal, and
       // replaced this executor while the attempt was blocked. Record the
-      // late return for the trace, touch nothing else, and exit.
+      // late return for the trace, free the spec the attempt was still
+      // reading, and exit.
       state->Append("executor.abandoned_attempt_returned", job->name,
                     status.ToString());
+      ReleaseSpec(*state, *job, lock);
       return;
     }
     ResolveAttemptLocked(*state, job, std::move(status), std::move(report));
+    if (IsTerminal(job->state)) ReleaseSpec(*state, *job, lock);
   }
 }
 
 /// Hard cancel: abandon the executor seat stuck on `job` (detach +
 /// replace so scheduler capacity is restored) and force the job terminal.
-/// Caller holds State::mu.
+/// The spec stays: the abandoned attempt still reads it without the lock,
+/// and frees it when (if) it returns. Caller holds State::mu.
 void HardCancelLocked(const std::shared_ptr<JobScheduler::State>& state,
                       const std::shared_ptr<SchedulerJob>& job) {
   for (auto& slot : state->slots) {
@@ -573,13 +586,13 @@ Result<uint64_t> JobScheduler::Submit(SchedulerJobRequest request) {
 }
 
 Status JobScheduler::Cancel(uint64_t id) {
-  std::lock_guard<std::mutex> lock(state_->mu);
+  std::unique_lock<std::mutex> lock(state_->mu);
   State& s = *state_;
   auto it = s.jobs.find(id);
   if (it == s.jobs.end()) {
     return Status::NotFound("no job with id " + std::to_string(id));
   }
-  const std::shared_ptr<SchedulerJob>& job = it->second;
+  std::shared_ptr<SchedulerJob> job = it->second;
   if (IsTerminal(job->state)) return Status::OK();
   job->user_cancelled = true;
   job->cancel->Cancel();
@@ -595,7 +608,7 @@ Status JobScheduler::Cancel(uint64_t id) {
     job->final_status = Status::Cancelled("cancelled before dispatch");
     ++s.stats.cancelled;
     s.Append("cancelled", job->name, "while queued");
-    s.terminal_cv.notify_all();
+    ReleaseSpec(s, *job, lock);  // notifies terminal_cv
   } else {
     s.Append("cancel.requested", job->name, "while running");
   }
@@ -610,7 +623,9 @@ Result<SchedulerJobResult> JobScheduler::Wait(uint64_t id) {
     return Status::NotFound("no job with id " + std::to_string(id));
   }
   std::shared_ptr<SchedulerJob> job = it->second;
-  s.terminal_cv.wait(lock, [&] { return IsTerminal(job->state); });
+  s.terminal_cv.wait(lock, [&] {
+    return IsTerminal(job->state) && !job->releasing_spec;
+  });
   SchedulerJobResult result;
   result.status = job->final_status;
   if (job->has_report) result.report = job->report;

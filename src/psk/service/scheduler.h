@@ -211,7 +211,10 @@ class JobScheduler {
   /// kNotFound for unknown ids; OK (idempotent) for terminal jobs.
   Status Cancel(uint64_t id);
 
-  /// Blocks until the job is terminal and returns its result.
+  /// Blocks until the job is terminal and returns its result. By then
+  /// the scheduler has freed the job's spec (input table, hierarchies,
+  /// source) and keeps only the result — except for a hard-cancelled job,
+  /// whose abandoned attempt frees the spec when (if) it returns.
   Result<SchedulerJobResult> Wait(uint64_t id);
 
   /// Snapshot of one job / all jobs (admission order).

@@ -72,6 +72,22 @@ TEST(AnonymizerTest, AllLatticeAlgorithmsAgreeOnHeight) {
   }
 }
 
+// Every lattice engine, bottom-up included, runs on the caller's verdict
+// cache: one miss per evaluated node, and the cache holds the verdicts.
+TEST(AnonymizerTest, BottomUpUsesTheCallersVerdictCache) {
+  AdultFixture fixture(400, 7);
+  auto cache = std::make_shared<VerdictCache>();
+  Anonymizer anonymizer = fixture.MakeAnonymizer();
+  anonymizer.set_k(2).set_p(2).set_max_suppression(4).set_algorithm(
+      AnonymizationAlgorithm::kBottomUp);
+  anonymizer.set_verdict_cache(cache);
+  AnonymizationReport report = UnwrapOk(anonymizer.Run());
+  ASSERT_TRUE(report.node.has_value());
+  EXPECT_GT(cache->size(), 0u);
+  EXPECT_EQ(cache->size(), report.stats.nodes_generalized);
+  EXPECT_EQ(report.stats.nodes_cache_misses, report.stats.nodes_generalized);
+}
+
 TEST(AnonymizerTest, MondrianNeedsNoHierarchies) {
   AdultFixture fixture;
   Anonymizer anonymizer(fixture.table);

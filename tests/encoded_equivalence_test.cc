@@ -645,9 +645,9 @@ TEST(ReferenceOracleTest, NodeVerdictsMatchAlgorithm1OnRandomTables) {
     FrequencyStats im_stats = UnwrapOk(FrequencyStats::Compute(im));
     for (const SearchOptions& options : RandomConfigs(seed)) {
       std::string what = Describe(seed, options);
-      NodeEvaluator evaluator(im, data.hierarchies, options);
-      PSK_ASSERT_OK(evaluator.Init());
-      EXPECT_EQ(evaluator.Condition1Holds(),
+      NodeSweeper sweeper(im, data.hierarchies, options);
+      PSK_ASSERT_OK(sweeper.Init());
+      EXPECT_EQ(sweeper.Condition1Holds(),
                 options.p < 2 || options.p <= im_stats.MaxP())
           << what;
       for (const LatticeNode& node :
@@ -659,12 +659,12 @@ TEST(ReferenceOracleTest, NodeVerdictsMatchAlgorithm1OnRandomTables) {
         GuardReport guard = UnwrapOk(VerifyRelease(
             reference.masked.table, im.num_rows(), DefaultPolicy(options)));
         EXPECT_EQ(guard.passed, reference.satisfied) << at;
-        if (!evaluator.Condition1Holds()) {
+        if (!sweeper.Condition1Holds()) {
           // Condition 1 (Theorem 1): no masking can reach this p.
           EXPECT_FALSE(reference.satisfied) << at;
           continue;
         }
-        NodeEvaluation eval = UnwrapOk(evaluator.Evaluate(node));
+        NodeEvaluation eval = UnwrapOk(sweeper.Evaluate(node));
         EXPECT_EQ(eval.satisfied, reference.satisfied) << at;
         EXPECT_EQ(eval.suppressed, reference.suppressed) << at;
         if (eval.stage != CheckStage::kKAnonymity) {
@@ -674,12 +674,12 @@ TEST(ReferenceOracleTest, NodeVerdictsMatchAlgorithm1OnRandomTables) {
           // Theorem 1: masking never raises maxP.
           EXPECT_LE(UnwrapOk(FrequencyStats::Compute(reference.masked.table))
                         .MaxP(),
-                    evaluator.max_p())
+                    sweeper.max_p())
               << at;
           // Theorem 2: a p-sensitive k-anonymous masking has at most
           // maxGroups(p) QI-groups.
           if (reference.satisfied) {
-            EXPECT_LE(reference.num_groups, evaluator.max_groups()) << at;
+            EXPECT_LE(reference.num_groups, sweeper.max_groups()) << at;
           }
         }
       }

@@ -171,7 +171,7 @@ TEST(CancelDuringReplayTest, ReplayHonorsCancellation) {
   MinimalSetResult full =
       UnwrapOk(ExhaustiveSearch(data.table, data.hierarchies, record));
   ASSERT_FALSE(full.stats.partial);
-  ASSERT_GT(snapshot.verdicts.size(), NodeEvaluator::kReplayCheckInterval);
+  ASSERT_GT(snapshot.verdicts.size(), NodeSweeper::kReplayCheckInterval);
 
   auto cancel = std::make_shared<CancelToken>();
   cancel->Cancel();  // cancelled before the resume even starts
@@ -197,18 +197,18 @@ TEST(VerdictCacheTest, SecondEvaluateIsACacheHit) {
 
   SearchOptions options;
   options.k = 2;
-  NodeEvaluator evaluator(data.table, data.hierarchies, options);
-  evaluator.set_verdict_cache(std::make_shared<VerdictCache>());
-  PSK_ASSERT_OK(evaluator.Init());
+  options.verdict_cache = std::make_shared<VerdictCache>();
+  NodeSweeper sweeper(data.table, data.hierarchies, options);
+  PSK_ASSERT_OK(sweeper.Init());
 
   GeneralizationLattice lattice(data.hierarchies);
   LatticeNode node = lattice.Top();
-  NodeEvaluation first = UnwrapOk(evaluator.Evaluate(node));
-  NodeEvaluation second = UnwrapOk(evaluator.Evaluate(node));
+  NodeEvaluation first = UnwrapOk(sweeper.Evaluate(node));
+  NodeEvaluation second = UnwrapOk(sweeper.Evaluate(node));
   EXPECT_EQ(first.satisfied, second.satisfied);
   // Exactly one generalization; the repeat is re-served from the cache.
-  EXPECT_EQ(evaluator.stats().nodes_generalized, 1u);
-  EXPECT_EQ(evaluator.stats().nodes_cache_hits, 1u);
+  EXPECT_EQ(sweeper.MergedStats().nodes_generalized, 1u);
+  EXPECT_EQ(sweeper.MergedStats().nodes_cache_hits, 1u);
 }
 
 TEST(SamaratiNoReevaluationTest, ConfirmationScanUsesCache) {

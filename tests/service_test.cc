@@ -11,6 +11,7 @@
 
 #include <algorithm>
 #include <chrono>
+#include <cstdio>
 #include <future>
 #include <memory>
 #include <string>
@@ -393,6 +394,56 @@ TEST(SchedulerTest, RunsADurableJobThroughTheJobRunner) {
   // The crash-safe layer committed the release to disk.
   EXPECT_TRUE(FileExists(dir + "/release.csv"));
   EXPECT_TRUE(FileExists(dir + "/report.json"));
+}
+
+TEST(SchedulerTest, InMemoryJobWritesItsTrace) {
+  const std::string path =
+      ::testing::TempDir() + "psk_service_test_in_memory_trace.json";
+  std::remove(path.c_str());
+  JobScheduler scheduler({});
+  SchedulerJobRequest request;
+  request.spec = MakeSpec(120, 4, AnonymizationAlgorithm::kSamarati);
+  request.spec.trace_path = path;
+  uint64_t id = UnwrapOk(scheduler.Submit(std::move(request)));
+  PSK_ASSERT_OK(UnwrapOk(scheduler.Wait(id)).status);
+  std::string contents = UnwrapOk(ReadFileToString(path));
+  EXPECT_EQ(contents.rfind("{\"psk_trace_version\":1", 0), 0u);
+  std::remove(path.c_str());
+}
+
+// A terminal job keeps its report but not its input: the spec (table,
+// hierarchies, source) is freed by the time Wait returns, whether the job
+// completed or was cancelled while queued.
+TEST(SchedulerTest, TerminalJobsReleaseTheirInput) {
+  SchedulerOptions options;
+  options.max_running = 1;
+  JobScheduler scheduler(options);
+
+  std::promise<void> release;
+  std::shared_future<void> gate(release.get_future());
+  SchedulerJobRequest done;
+  done.spec = MakeSpec(120, 1, AnonymizationAlgorithm::kSamarati);
+  done.on_start = [gate] { gate.wait(); };
+  std::weak_ptr<const AttributeHierarchy> done_hierarchy =
+      done.spec.hierarchies.front();
+  uint64_t done_id = UnwrapOk(scheduler.Submit(std::move(done)));
+  WaitUntilRunning(scheduler, done_id);
+
+  SchedulerJobRequest queued;
+  queued.spec = MakeSpec(120, 2, AnonymizationAlgorithm::kSamarati);
+  std::weak_ptr<const AttributeHierarchy> queued_hierarchy =
+      queued.spec.hierarchies.front();
+  uint64_t queued_id = UnwrapOk(scheduler.Submit(std::move(queued)));
+  PSK_ASSERT_OK(scheduler.Cancel(queued_id));
+  EXPECT_EQ(UnwrapOk(scheduler.Wait(queued_id)).state, JobState::kCancelled);
+  EXPECT_TRUE(queued_hierarchy.expired());
+
+  EXPECT_FALSE(done_hierarchy.expired());  // still running
+  release.set_value();
+  SchedulerJobResult result = UnwrapOk(scheduler.Wait(done_id));
+  PSK_ASSERT_OK(result.status);
+  EXPECT_GT(result.report.masked.num_rows(), 0u);
+  EXPECT_TRUE(done_hierarchy.expired());
 }
 
 TEST(SchedulerTest, StopDrainsAndRefusesNewWork) {

@@ -167,31 +167,46 @@ TEST(TraceIntegrationTest, DisabledByDefault) {
 
 TEST(TraceIntegrationTest, StructureIdenticalAcrossThreadCounts) {
   AdultFixture fixture;
-  std::string baseline;
-  for (size_t threads : {1, 2, 8}) {
-    Anonymizer anonymizer = fixture.MakeAnonymizer();
-    anonymizer.set_k(3).set_p(2).set_max_suppression(6).set_threads(threads);
-    anonymizer.set_trace_enabled(true);
-    AnonymizationReport report = UnwrapOk(anonymizer.Run());
-    ASSERT_TRUE(report.node.has_value());
-    std::shared_ptr<RunTrace> trace = anonymizer.last_trace();
-    ASSERT_NE(trace, nullptr);
-    std::string signature = trace->StructureSignature();
-    if (baseline.empty()) {
-      baseline = signature;
-    } else {
-      EXPECT_EQ(signature, baseline) << "threads=" << threads;
+  for (AnonymizationAlgorithm algorithm :
+       {AnonymizationAlgorithm::kSamarati,
+        AnonymizationAlgorithm::kExhaustive,
+        AnonymizationAlgorithm::kIncognito,
+        AnonymizationAlgorithm::kBottomUp, AnonymizationAlgorithm::kOla}) {
+    std::string baseline;
+    for (size_t threads : {1, 2, 8}) {
+      Anonymizer anonymizer = fixture.MakeAnonymizer();
+      anonymizer.set_k(3).set_p(2).set_max_suppression(6).set_threads(
+          threads);
+      anonymizer.set_algorithm(algorithm).set_trace_enabled(true);
+      AnonymizationReport report = UnwrapOk(anonymizer.Run());
+      ASSERT_TRUE(report.node.has_value());
+      std::shared_ptr<RunTrace> trace = anonymizer.last_trace();
+      ASSERT_NE(trace, nullptr);
+      std::string signature = trace->StructureSignature();
+      if (baseline.empty()) {
+        baseline = signature;
+      } else {
+        EXPECT_EQ(signature, baseline)
+            << "algorithm " << static_cast<int>(algorithm)
+            << " threads=" << threads;
+      }
     }
-  }
-  // The span tree covers the whole run: encode, the sweeps with their
-  // per-node eval events, the binary-search phases, materialization, the
-  // guard's checks and the scorecard.
-  for (const char* span :
-       {"encode", "sweep", "eval[", "probe_height", "binary_search",
-        "materialize", "guard(", "check_kanonymity", "check_psensitivity",
-        "check_suppression", "scorecard", "outcome=released"}) {
-    EXPECT_NE(baseline.find(span), std::string::npos)
-        << "missing span: " << span << "\n" << baseline;
+    // The span tree covers the whole run: encode, the per-node eval
+    // events, materialization, the guard's checks and the scorecard.
+    for (const char* span :
+         {"encode", "eval[", "materialize", "guard(", "check_kanonymity",
+          "check_psensitivity", "check_suppression", "scorecard",
+          "outcome=released"}) {
+      EXPECT_NE(baseline.find(span), std::string::npos)
+          << "algorithm " << static_cast<int>(algorithm)
+          << " missing span: " << span << "\n" << baseline;
+    }
+    if (algorithm == AnonymizationAlgorithm::kSamarati) {
+      for (const char* span : {"sweep", "probe_height", "binary_search"}) {
+        EXPECT_NE(baseline.find(span), std::string::npos)
+            << "missing span: " << span << "\n" << baseline;
+      }
+    }
   }
 }
 
@@ -353,10 +368,11 @@ TEST(TraceIntegrationTest, IngestSpanIsStructuralAcrossThreadCounts) {
             std::string::npos);
 }
 
-// One decode, one group index: a run decodes its release exactly once on
-// the encoded core (Samarati inside the engine, the minimal-set engines in
-// the stage; no legacy Mask anywhere) and groups it exactly once, in the
-// guard — or in the scorecard when the guard is off.
+// One encode, one decode, one group index: a run encodes its input once
+// (every lattice engine runs on one NodeSweeper), decodes its release
+// exactly once on the encoded core (Samarati inside the engine, the
+// minimal-set engines in the stage; no legacy Mask anywhere) and groups it
+// exactly once, in the guard — or in the scorecard when the guard is off.
 TEST(TraceIntegrationTest, OneDecodeAndOneGroupIndexPerRun) {
   AdultFixture fixture;
   for (AnonymizationAlgorithm algorithm :
@@ -373,6 +389,8 @@ TEST(TraceIntegrationTest, OneDecodeAndOneGroupIndexPerRun) {
       UnwrapOk(anonymizer.Run());
       std::string signature = anonymizer.last_trace()->StructureSignature();
       SCOPED_TRACE(signature);
+      // One encoding per run, bottom-up included.
+      EXPECT_EQ(CountOccurrences(signature, "encode[path=encoded]"), 1u);
       EXPECT_EQ(CountOccurrences(signature, "materialize"), 1u);
       EXPECT_EQ(CountOccurrences(signature, "materialize[path=encoded]"), 1u);
       EXPECT_EQ(signature.find("path=legacy"), std::string::npos);
